@@ -25,7 +25,7 @@ SchemeResult evaluate(const ConnectionSet& cs, int limit, int max_segments,
     const auto ch = make(t);
     alg::DpOptions o;
     o.max_segments = max_segments;
-    const auto r = alg::dp_route(ch, cs, o);
+    const auto r = alg::dp_route(ChannelIndex(ch), cs, o);
     if (r.success) {
       res.tracks = t;
       res.delay = fpga::routing_delay(ch, cs, r.routing);

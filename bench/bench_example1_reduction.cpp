@@ -33,7 +33,7 @@ int main() {
   const auto witness = npc::routing_from_matching(q, inst, *sol);
   t.add_row({"Lemma 1 routing from matching",
              validate(q.channel, q.connections, witness) ? "valid" : "INVALID"});
-  const auto dp = alg::dp_route_unlimited(q.channel, q.connections);
+  const auto dp = alg::dp_route(ChannelIndex(q.channel), q.connections);
   t.add_row({"DP router on Q",
              dp.success ? "routed (L = " +
                               std::to_string(dp.stats.max_level_nodes) + ")"
@@ -46,7 +46,8 @@ int main() {
   const auto qbad = npc::build_unlimited(bad);
   t.add_row({"perturbed z = (12,16,19): NMTS",
              bad.solve() ? "solvable" : "unsolvable"});
-  const auto dpbad = alg::dp_route_unlimited(qbad.channel, qbad.connections);
+  const auto dpbad =
+      alg::dp_route(ChannelIndex(qbad.channel), qbad.connections);
   t.add_row({"perturbed: DP router on Q", dpbad.success ? "routed" : "no routing"});
   std::cout << t.str()
             << "\nShape check: routing exists exactly when the matching "

@@ -15,7 +15,8 @@ namespace {
 int min_tracks(const ConnectionSet& cs, int limit,
                const std::function<SegmentedChannel(int)>& make) {
   for (int t = std::max(1, cs.density()); t <= limit; ++t) {
-    if (alg::dp_route_unlimited(make(t), cs).success) return t;
+    const SegmentedChannel ch = make(t);
+    if (alg::dp_route(ChannelIndex(ch), cs).success) return t;
   }
   return limit + 1;
 }

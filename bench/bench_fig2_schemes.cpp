@@ -17,7 +17,7 @@ int min_tracks_for(const ConnectionSet& cs, int limit,
     const auto ch = make(t);
     alg::DpOptions o;
     o.max_segments = max_segments;
-    if (alg::dp_route(ch, cs, o).success) return t;
+    if (alg::dp_route(ChannelIndex(ch), cs, o).success) return t;
   }
   return -1;
 }
@@ -43,7 +43,7 @@ int main() {
   int worst_segs = 0;
   {
     const auto ch = SegmentedChannel::fully_segmented(full, 9);
-    const auto r = alg::dp_route_unlimited(ch, cs);
+    const auto r = alg::dp_route(ChannelIndex(ch), cs);
     for (ConnId i = 0; i < cs.size(); ++i) {
       worst_segs = std::max(
           worst_segs, segments_used(ch, cs[i], r.routing.track_of(i)));
@@ -62,7 +62,7 @@ int main() {
   // (e) segmented for 1-segment routing.
   {
     const auto ch = gen::fixtures::fig2_channel_1segment();
-    const auto r = alg::greedy1_route(ch, cs);
+    const auto r = alg::greedy1_route(ChannelIndex(ch), cs);
     t.add_row({"designed, K = 1", "2(e)",
                io::Table::num(static_cast<int>(ch.num_tracks())), "1",
                r.success ? "each net in one segment" : "FAILED"});
@@ -71,7 +71,7 @@ int main() {
   // (f) uniformly segmented, K = 2.
   {
     const auto ch = gen::fixtures::fig2_channel_2segment();
-    const auto r = alg::dp_route_ksegment(ch, cs, 2);
+    const auto r = alg::dp_route(ChannelIndex(ch), cs, {.max_segments = 2});
     int segs = 0;
     for (ConnId i = 0; i < cs.size(); ++i) {
       segs = std::max(segs, segments_used(ch, cs[i], r.routing.track_of(i)));

@@ -9,6 +9,7 @@ using namespace segroute;
 
 int main() {
   const auto ch = gen::fixtures::fig3_channel();
+  const ChannelIndex idx(ch);
   const auto cs = gen::fixtures::fig3_connections();
   std::cout << "E2 / Fig. 3 — the paper's running example (T = 3, N = 9, "
                "M = 5)\n\n"
@@ -16,7 +17,7 @@ int main() {
             << io::render(cs, ch.width()) << "\n";
 
   alg::Greedy1Trace trace;
-  const auto greedy = alg::greedy1_route_traced(ch, cs, &trace);
+  const auto greedy = alg::greedy1_route_traced(idx, cs, &trace);
 
   io::Table t({"connection", "greedy segment", "segment right end"});
   for (ConnId i = 0; i < cs.size(); ++i) {
@@ -39,9 +40,9 @@ int main() {
   };
   add("greedy 1-segment (Thm 3)", greedy);
   add("matching, min weight (Fig 7)",
-      alg::match1_route_optimal(ch, cs, w));
-  add("assignment-graph DP (IV-B)", alg::dp_route_unlimited(ch, cs));
-  add("DP, optimal (Problem 3)", alg::dp_route_optimal(ch, cs, w));
+      alg::match1_route_optimal(idx, cs, w));
+  add("assignment-graph DP (IV-B)", alg::dp_route(idx, cs));
+  add("DP, optimal (Problem 3)", alg::dp_route(idx, cs, {.weight = w}));
   add("LP heuristic (IV-C)", alg::lp_route(ch, cs));
   std::cout << x.str()
             << "\nShape check: all algorithms route the example; the two "

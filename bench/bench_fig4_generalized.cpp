@@ -8,14 +8,15 @@ using namespace segroute;
 
 int main() {
   const auto ch = gen::fixtures::fig4_channel();
+  const ChannelIndex idx(ch);
   const auto cs = gen::fixtures::fig4_connections();
   std::cout << "E3 / Fig. 4 — generalized routing strictly increases "
                "capacity\n\n"
             << io::render(ch) << "\n"
             << io::render(cs, ch.width()) << "\n";
 
-  const auto std_r = alg::dp_route_unlimited(ch, cs);
-  const auto gen_r = alg::generalized_dp_route(ch, cs);
+  const auto std_r = alg::dp_route(idx, cs);
+  const auto gen_r = alg::generalized_dp_route(idx, cs);
 
   io::Table t({"router", "routes?", "detail"});
   t.add_row({"single-track DP (Def. 1)", std_r.success ? "yes" : "no",

@@ -57,7 +57,8 @@ int main() {
         const auto cs = gen::geometric_workload(10, 16, 4.0, rng);
         alg::DpOptions o;
         o.canonicalize_types = false;
-        worst = std::max(worst, alg::dp_route(ch, cs, o).stats.max_level_nodes);
+        const auto r = alg::dp_route(ChannelIndex(ch), cs, o);
+        worst = std::max(worst, r.stats.max_level_nodes);
       }
       t.add_row({io::Table::num(T), io::Table::num(std::uint64_t{worst}),
                  io::Table::num(2 * factorial(T))});
@@ -76,8 +77,8 @@ int main() {
           alg::DpOptions o;
           o.canonicalize_types = false;
           o.max_segments = K;
-          worst =
-              std::max(worst, alg::dp_route(ch, cs, o).stats.max_level_nodes);
+          const auto r = alg::dp_route(ChannelIndex(ch), cs, o);
+          worst = std::max(worst, r.stats.max_level_nodes);
         }
         t.add_row({io::Table::num(T), io::Table::num(K),
                    io::Table::num(std::uint64_t{worst}),
@@ -103,16 +104,17 @@ int main() {
                                       : Track(28, {7, 14, 21}));
         }
         const SegmentedChannel ch(std::move(tracks));
+        const ChannelIndex idx(ch);
         const auto cs = gen::geometric_workload(14, 28, 5.0, rng);
         alg::DpOptions raw, canon;
         raw.canonicalize_types = false;
         raw.max_segments = K;
         canon.canonicalize_types = true;
         canon.max_segments = K;
-        worst_raw =
-            std::max(worst_raw, alg::dp_route(ch, cs, raw).stats.max_level_nodes);
-        worst_canon = std::max(worst_canon,
-                               alg::dp_route(ch, cs, canon).stats.max_level_nodes);
+        worst_raw = std::max(worst_raw,
+                             alg::dp_route(idx, cs, raw).stats.max_level_nodes);
+        worst_canon = std::max(
+            worst_canon, alg::dp_route(idx, cs, canon).stats.max_level_nodes);
       }
       const int T1 = (T + 1) / 2, T2 = T / 2;
       auto choose = [](int a, int b) {

@@ -45,12 +45,13 @@ int main() {
     std::size_t worst_nodes = 0;
     for (int i = 0; i < trials; ++i) {
       const auto ch = random_channel(tracks, width, 3, rng);
+      const ChannelIndex idx(ch);
       const auto cs = gen::geometric_workload(m, width, 3.5, rng);
-      const bool s = alg::dp_route_unlimited(ch, cs).success;
-      const auto g = alg::generalized_dp_route(ch, cs);
+      const bool s = alg::dp_route(idx, cs).success;
+      const auto g = alg::generalized_dp_route(idx, cs);
       alg::GeneralizedDpOptions ov;
       ov.switch_requires_overlap = true;
-      const bool o = alg::generalized_dp_route(ch, cs, ov).success;
+      const bool o = alg::generalized_dp_route(idx, cs, ov).success;
       if (s) ++std_ok;
       if (g.success) ++gen_ok;
       if (o) ++overlap_ok;
@@ -75,15 +76,16 @@ int main() {
     int sampled = 0, rec_gen = 0, rec_ov = 0;
     for (int i = 0; i < 30000 && sampled < want; ++i) {
       const auto ch = random_channel(tracks, width, 3, rng2);
+      const ChannelIndex idx(ch);
       const auto cs = gen::geometric_workload(m, width, 3.5, rng2);
       if (cs.density() > tracks) continue;
-      if (alg::dp_route_unlimited(ch, cs).success) continue;
+      if (alg::dp_route(idx, cs).success) continue;
       ++sampled;
-      if (alg::generalized_dp_route(ch, cs).success) {
+      if (alg::generalized_dp_route(idx, cs).success) {
         ++rec_gen;
         alg::GeneralizedDpOptions ov;
         ov.switch_requires_overlap = true;
-        if (alg::generalized_dp_route(ch, cs, ov).success) ++rec_ov;
+        if (alg::generalized_dp_route(idx, cs, ov).success) ++rec_ov;
       }
     }
     r.add_row({io::Table::num(m), io::Table::num(sampled),

@@ -32,7 +32,7 @@ int main() {
       }
       const SegmentedChannel ch(std::move(trs));
       const auto cs = gen::geometric_workload(m, width, 6.0, rng);
-      const bool oracle = alg::dp_route_unlimited(ch, cs).success;
+      const bool oracle = alg::dp_route(ChannelIndex(ch), cs).success;
       const bool greedy = alg::greedy2track_route(ch, cs).success;
       if (oracle) ++routable;
       if (oracle == greedy) ++agree; else ++disagree;

@@ -8,8 +8,9 @@
 //                     repair path (apply()), the canonical stateless
 //                     replay (alg::from_scratch — what a service without
 //                     sessions would recompute), and the exact DP
-//                     re-route (dp_route_unlimited — the from-scratch
-//                     competitor the paper's offline formulation implies).
+//                     re-route (dp_route on a prebuilt index — the
+//                     from-scratch competitor the paper's offline
+//                     formulation implies).
 //                     After every apply the session snapshot must equal
 //                     from_scratch bit for bit (the canonical-state
 //                     contract of alg/delta.h).
@@ -130,6 +131,7 @@ struct Row {
 /// Timed edit-script run over one family. Fatal mismatch => false.
 bool run_family(const Family& f, int steps, std::uint64_t seed, Row* row) {
   alg::OnlineRouter session(f.ch, alg::OnlineRouter::Policy::BestFit);
+  const ChannelIndex idx(f.ch);  // the exact-DP reference's view
   std::mt19937_64 rng(seed);
   std::vector<ConnId> live;
   const int cap =
@@ -160,7 +162,7 @@ bool run_family(const Family& f, int steps, std::uint64_t seed, Row* row) {
     const alg::CanonicalResult canon = alg::from_scratch(f.ch, cs, true, 0);
     full += ms_since(t1);
     const auto t2 = Clock::now();
-    const alg::RouteResult exact = alg::dp_route_unlimited(f.ch, cs);
+    const alg::RouteResult exact = alg::dp_route(idx, cs);
     dp += ms_since(t2);
     if (!canon.result.success || canon.result.routing != routing) {
       std::cerr << "FAIL: " << f.name << " step " << step

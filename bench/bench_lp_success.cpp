@@ -65,7 +65,7 @@ int main() {
       for (int i = 0; i < trials; ++i) {
         const auto ch = gen::staggered_segmentation(tracks, width, 8);
         const auto cs = gen::geometric_workload(m, width, 6.0, rng);
-        const bool dp_ok = alg::dp_route_unlimited(ch, cs).success;
+        const bool dp_ok = alg::dp_route(ChannelIndex(ch), cs).success;
         const auto lp = alg::lp_route(ch, cs);
         if (dp_ok) ++feasible;
         if (lp.success == dp_ok) ++agree;

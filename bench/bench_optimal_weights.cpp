@@ -23,13 +23,14 @@ int main() {
     const auto w = weights::occupied_length();
     for (int i = 0; i < trials; ++i) {
       const auto ch = gen::staggered_segmentation(4, 20, 5);
+      const ChannelIndex idx(ch);
       const auto cs = gen::geometric_workload(
           3 + static_cast<int>(rng() % 5), 20, 4.0, rng);
       alg::DpOptions o;
       o.max_segments = 1;
       o.weight = w;
-      const auto dp = alg::dp_route(ch, cs, o);
-      const auto hung = alg::match1_route_optimal(ch, cs, w);
+      const auto dp = alg::dp_route(idx, cs, o);
+      const auto hung = alg::match1_route_optimal(idx, cs, w);
       alg::LpRouteOptions lo;
       lo.max_segments = 1;
       const auto lp = alg::lp_route_optimal(ch, cs, w, lo);
@@ -57,6 +58,7 @@ int main() {
         Track(24, {12}),
         Track(24, {12}),
     });
+    const ChannelIndex idx(ch);
     const auto cs = gen::routable_workload(ch, 8, 6.0, rng);
     io::Table t({"objective", "total weight", "sum occupied length",
                  "sum segments"});
@@ -65,7 +67,7 @@ int main() {
              {"occupied length", weights::occupied_length()},
              {"segment count", weights::segment_count()},
              {"wasted length", weights::wasted_length()}}) {
-      const auto r = alg::dp_route_optimal(ch, cs, w);
+      const auto r = alg::dp_route(idx, cs, {.weight = w});
       if (!r.success) continue;
       t.add_row({name, io::Table::num(r.weight, 1),
                  io::Table::num(total_weight(ch, cs, r.routing,

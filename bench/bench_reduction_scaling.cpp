@@ -46,7 +46,7 @@ int main() {
                               .normalized();
         const bool nmts_ok = inst.solve().has_value();
         const auto q = build_unlimited(inst);
-        const auto dp = alg::dp_route_unlimited(q.channel, q.connections);
+        const auto dp = alg::dp_route(ChannelIndex(q.channel), q.connections);
         if (nmts_ok) ++yes;
         if (nmts_ok == dp.success) ++agree;
         if (dp.success) {
@@ -75,8 +75,9 @@ int main() {
                             .normalized();
       const bool nmts_ok = inst.solve().has_value();
       const auto q2 = build_two_segment(inst);
-      const bool routed =
-          alg::dp_route_ksegment(q2.channel, q2.connections, 2).success;
+      const bool routed = alg::dp_route(ChannelIndex(q2.channel),
+                                        q2.connections, {.max_segments = 2})
+                              .success;
       if (nmts_ok) ++yes;
       if (nmts_ok == routed) ++agree;
     }

@@ -31,8 +31,9 @@ Instance make_instance(TrackId tracks, Column width, int m,
 void BM_Greedy1_VsM(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   const auto inst = make_instance(8, 64, m, 42);
+  const ChannelIndex idx(inst.ch);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(alg::greedy1_route(inst.ch, inst.cs));
+    benchmark::DoNotOptimize(alg::greedy1_route(idx, inst.cs));
   }
   state.SetComplexityN(m);
 }
@@ -41,8 +42,9 @@ BENCHMARK(BM_Greedy1_VsM)->RangeMultiplier(2)->Range(8, 64)->Complexity();
 void BM_DpUnlimited_VsM(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   const auto inst = make_instance(6, 96, m, 43);
+  const ChannelIndex idx(inst.ch);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(alg::dp_route_unlimited(inst.ch, inst.cs));
+    benchmark::DoNotOptimize(alg::dp_route(idx, inst.cs));
   }
   state.SetComplexityN(m);
 }
@@ -51,8 +53,9 @@ BENCHMARK(BM_DpUnlimited_VsM)->RangeMultiplier(2)->Range(8, 64)->Complexity();
 void BM_DpUnlimited_VsT(benchmark::State& state) {
   const TrackId t = static_cast<TrackId>(state.range(0));
   const auto inst = make_instance(t, 64, 3 * t, 44);
+  const ChannelIndex idx(inst.ch);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(alg::dp_route_unlimited(inst.ch, inst.cs));
+    benchmark::DoNotOptimize(alg::dp_route(idx, inst.cs));
   }
 }
 BENCHMARK(BM_DpUnlimited_VsT)->DenseRange(2, 10, 2);
@@ -60,8 +63,9 @@ BENCHMARK(BM_DpUnlimited_VsT)->DenseRange(2, 10, 2);
 void BM_DpKSegment_VsK(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   const auto inst = make_instance(6, 96, 36, 45);
+  const ChannelIndex idx(inst.ch);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(alg::dp_route_ksegment(inst.ch, inst.cs, k));
+    benchmark::DoNotOptimize(alg::dp_route(idx, inst.cs, {.max_segments = k}));
   }
 }
 BENCHMARK(BM_DpKSegment_VsK)->DenseRange(1, 5, 1);
@@ -77,11 +81,12 @@ void BM_DpCanonicalization(benchmark::State& state) {
                                 : Track(64, {16, 32, 48}));
   }
   const SegmentedChannel ch(std::move(tracks));
+  const ChannelIndex idx(ch);
   const auto cs = gen::routable_workload(ch, 24, 8.0, rng);
   alg::DpOptions o;
   o.canonicalize_types = canon;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(alg::dp_route(ch, cs, o));
+    benchmark::DoNotOptimize(alg::dp_route(idx, cs, o));
   }
 }
 BENCHMARK(BM_DpCanonicalization)->Arg(0)->Arg(1);
@@ -89,9 +94,10 @@ BENCHMARK(BM_DpCanonicalization)->Arg(0)->Arg(1);
 void BM_MatchOptimal_VsM(benchmark::State& state) {
   const int m = static_cast<int>(state.range(0));
   auto inst = make_instance(8, 64, m, 47);
+  const ChannelIndex idx(inst.ch);
   const auto w = weights::occupied_length();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(alg::match1_route_optimal(inst.ch, inst.cs, w));
+    benchmark::DoNotOptimize(alg::match1_route_optimal(idx, inst.cs, w));
   }
   state.SetComplexityN(m);
 }
@@ -111,9 +117,10 @@ void BM_GeneralizedDp_VsM(benchmark::State& state) {
   std::mt19937_64 rng(49);
   const auto ch = SegmentedChannel(
       {Track(24, {6, 12, 18}), Track(24, {4, 14}), Track(24, {8, 16})});
+  const ChannelIndex idx(ch);
   const auto cs = gen::routable_workload(ch, m, 4.0, rng);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(alg::generalized_dp_route(ch, cs));
+    benchmark::DoNotOptimize(alg::generalized_dp_route(idx, cs));
   }
   state.SetComplexityN(m);
 }

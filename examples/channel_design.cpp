@@ -18,7 +18,8 @@ namespace {
 template <typename MakeChannel>
 int min_tracks(const ConnectionSet& nets, int limit, MakeChannel make) {
   for (int t = std::max(1, nets.density()); t <= limit; ++t) {
-    if (alg::dp_route_unlimited(make(t), nets).success) return t;
+    const SegmentedChannel ch = make(t);
+    if (alg::dp_route(ChannelIndex(ch), nets).success) return t;
   }
   return -1;
 }

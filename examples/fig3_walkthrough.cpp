@@ -20,9 +20,12 @@ int main() {
             << "Connections c1..c5:\n"
             << io::render(nets, channel.width()) << "\n";
 
+  // Every router reads the channel through one prebuilt index.
+  const ChannelIndex index(channel);
+
   // 1-segment greedy (Theorem 3): exact for K = 1.
   alg::Greedy1Trace trace;
-  const auto greedy = alg::greedy1_route_traced(channel, nets, &trace);
+  const auto greedy = alg::greedy1_route_traced(index, nets, &trace);
   std::cout << "1-segment greedy (Theorem 3): "
             << (greedy ? "routed" : greedy.note) << "\n";
   for (ConnId i = 0; i < nets.size(); ++i) {
@@ -34,12 +37,12 @@ int main() {
 
   // Optimal 1-segment routing via weighted bipartite matching (Fig. 7).
   const auto matched =
-      alg::match1_route_optimal(channel, nets, weights::occupied_length());
+      alg::match1_route_optimal(index, nets, weights::occupied_length());
   std::cout << "Min-weight matching (Fig. 7): total occupied length = "
             << matched.weight << "\n";
 
   // The general DP router; also report assignment-graph statistics.
-  const auto dp = alg::dp_route_unlimited(channel, nets);
+  const auto dp = alg::dp_route(index, nets);
   std::cout << "Assignment-graph DP: " << (dp ? "routed" : dp.note)
             << "; nodes per level:";
   for (std::size_t n : dp.stats.nodes_per_level) std::cout << ' ' << n;

@@ -40,7 +40,7 @@ int main() {
             << "\n";
 
   // Independently, route Q from scratch with the DP.
-  const auto dp = alg::dp_route_unlimited(q.channel, q.connections);
+  const auto dp = alg::dp_route(ChannelIndex(q.channel), q.connections);
   std::cout << "DP router on Q: " << (dp ? "routed" : "failed")
             << " (max frontiers per level: " << dp.stats.max_level_nodes
             << ")\n";
@@ -58,7 +58,8 @@ int main() {
   std::cout << "\nPerturbed z = (12,16,19): solver says "
             << (bad.solve() ? "solvable" : "unsolvable") << "\n";
   const auto qbad = npc::build_unlimited(bad);
-  const auto dpbad = alg::dp_route_unlimited(qbad.channel, qbad.connections);
+  const auto dpbad =
+      alg::dp_route(ChannelIndex(qbad.channel), qbad.connections);
   std::cout << "DP router on perturbed Q: "
             << (dpbad ? "routed (unexpected!)" : "no routing, as Theorem 1 "
                                                  "demands")

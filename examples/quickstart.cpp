@@ -31,8 +31,11 @@ int main() {
   std::cout << "Connections:\n" << io::render(nets, channel.width()) << "\n";
   std::cout << "Channel:\n" << io::render(channel) << "\n";
 
+  // Every router reads the channel through one prebuilt index.
+  const ChannelIndex index(channel);
+
   // Problem 1: any routing.
-  const auto any = alg::dp_route_unlimited(channel, nets);
+  const auto any = alg::dp_route(index, nets);
   if (!any) {
     std::cout << "No routing exists: " << any.note << "\n";
     return 1;
@@ -41,13 +44,13 @@ int main() {
             << io::render(channel, nets, any.routing) << "\n";
 
   // Problem 2: at most two segments per connection.
-  const auto two_seg = alg::dp_route_ksegment(channel, nets, 2);
+  const auto two_seg = alg::dp_route(index, nets, {.max_segments = 2});
   std::cout << "2-segment routing exists? " << (two_seg ? "yes" : "no")
             << "\n";
 
   // Problem 3: minimize total occupied wire length.
   const auto optimal =
-      alg::dp_route_optimal(channel, nets, weights::occupied_length());
+      alg::dp_route(index, nets, {.weight = weights::occupied_length()});
   std::cout << "Minimum total occupied length: " << optimal.weight << "\n"
             << io::render(channel, nets, optimal.routing);
 

@@ -5,7 +5,10 @@
 #      (unit + property tests, tsan_smoke sub-build, perf gates);
 #   2. an SEGROUTE_OBS=OFF configure + build + test run, proving the
 #      tree compiles and passes with all instrumentation compiled out;
-#   3. explicit re-runs of the tsan_smoke and perf_obs/perf_smoke/
+#   3. an SEGROUTE_SANITIZE=address (ASan + UBSan) configure + build +
+#      ctest run, catching memory errors such as a dangling borrowed
+#      channel behind a ChannelIndex;
+#   4. explicit re-runs of the tsan_smoke and perf_obs/perf_smoke/
 #      perf_engine gates from the tier-1 build, so a perf or race
 #      regression fails loudly even if step 1's summary scrolled by.
 #
@@ -17,18 +20,27 @@ cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
-echo "== [1/3] tier-1: configure + build + ctest ($BUILD) =="
+echo "== [1/4] tier-1: configure + build + ctest ($BUILD) =="
 cmake -B "$BUILD" -S .
 cmake --build "$BUILD" -j "$JOBS"
 ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
 
-echo "== [2/3] SEGROUTE_OBS=OFF build + ctest ($BUILD-obs-off) =="
+echo "== [2/4] SEGROUTE_OBS=OFF build + ctest ($BUILD-obs-off) =="
 cmake -B "$BUILD-obs-off" -S . -DSEGROUTE_OBS=OFF
 cmake --build "$BUILD-obs-off" -j "$JOBS"
 ctest --test-dir "$BUILD-obs-off" --output-on-failure -j "$JOBS" \
   -E 'tsan_smoke'  # the tsan sub-build is identical to tier-1's; skip the repeat
 
-echo "== [3/3] sanitizer + perf gates (tier-1 build) =="
+echo "== [3/4] SEGROUTE_SANITIZE=address build + ctest ($BUILD-asan) =="
+cmake -B "$BUILD-asan" -S . -DSEGROUTE_SANITIZE=address
+cmake --build "$BUILD-asan" -j "$JOBS"
+# Excluded here, and only these: tsan_smoke (its own ThreadSanitizer
+# sub-build, which cannot be combined with ASan) and the perf_* timing
+# gates (sanitizer overhead would trip their wall-clock bounds).
+ctest --test-dir "$BUILD-asan" --output-on-failure -j "$JOBS" \
+  -E '^(tsan_smoke|perf_.*)$'
+
+echo "== [4/4] sanitizer + perf gates (tier-1 build) =="
 ctest --test-dir "$BUILD" --output-on-failure \
   -R '^(tsan_smoke|perf_smoke|perf_engine|perf_fabric|perf_obs|perf_svc|perf_incremental|svc_smoke)$'
 

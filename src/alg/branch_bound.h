@@ -1,7 +1,7 @@
 // Branch-and-bound optimizer for Problem 3: depth-first search over the
 // left-end connection order with (a) per-connection admissible lower
 // bounds (the cheapest feasible track, conflicts ignored) and (b)
-// cheapest-first child ordering. Exact like dp_route_optimal, but with
+// cheapest-first child ordering. Exact like the weighted dp_route, but with
 // memory O(M) instead of the assignment graph — the right tool when the
 // frontier count explodes (many tracks, many types) yet the weight
 // structure prunes well.
@@ -10,7 +10,6 @@
 #include <cstdint>
 
 #include "alg/result.h"
-#include "core/channel.h"
 #include "core/channel_index.h"
 #include "core/connection.h"
 #include "core/weights.h"
@@ -26,18 +25,14 @@ struct BranchBoundOptions {
   /// behaves like max_nodes (anytime: best-so-far if one was found, else
   /// FailureKind::kBudgetExhausted).
   harness::Budget budget;
-
-  /// Prebuilt index over the channel being routed (must match it): O(1)
-  /// segments_spanned in child generation. Results are bit-identical
-  /// with and without it.
-  const ChannelIndex* index = nullptr;
 };
 
-/// Finds a minimum-total-weight routing (or proves none exists).
+/// Finds a minimum-total-weight routing on `idx.channel()` (or proves
+/// none exists).
 /// stats.iterations counts expanded search nodes. Exceeding max_nodes or
 /// the budget returns the best routing found so far with success only if
 /// complete (note explains; failure classifies).
-RouteResult branch_bound_route(const SegmentedChannel& ch,
+RouteResult branch_bound_route(const ChannelIndex& idx,
                                const ConnectionSet& cs, const WeightFn& w,
                                const BranchBoundOptions& opts = {});
 

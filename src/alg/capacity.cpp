@@ -12,10 +12,11 @@ namespace segroute::alg {
 
 namespace {
 
-// Direct (index-free) registry probe. min_tracks keeps using it because
-// every probe builds a *different* channel, so there is no shared
-// structure for a BatchRouter's index or cache to amortize; the
-// fixed-channel searches below go through the engine instead.
+// Direct registry probe (alg::route builds the probe channel's index).
+// min_tracks keeps using it because every probe builds a *different*
+// channel, so there is no shared structure for a BatchRouter's index or
+// cache to amortize; the fixed-channel searches below go through the
+// engine instead.
 bool routes(const SegmentedChannel& ch, const ConnectionSet& cs,
             const CapacityOptions& opts) {
   RouteRequest rq;

@@ -31,14 +31,10 @@
 
 #include "alg/frontier_bits.h"
 #include "alg/result.h"
-#include "core/channel.h"
+#include "core/channel_index.h"
 #include "core/connection.h"
 #include "core/weights.h"
 #include "harness/budget.h"
-
-namespace segroute {
-class ChannelIndex;  // core/channel_index.h
-}
 
 namespace segroute::alg {
 
@@ -67,11 +63,6 @@ struct DpWorkspace {
   std::vector<char> cls_ok;
   std::vector<Column> cls_free;
   std::vector<double> cls_w;
-  /// Per-class next-free-column table, built once per call when no
-  /// ChannelIndex is supplied: row cl, column c holds the first free
-  /// column after routing through c on a class-cl track. Replaces the
-  /// per-level (and replay) segment_at binary searches.
-  std::vector<Column> cls_next_free;
   /// Pooled per-call field scratch: the node-in-hand unpacked frontier
   /// (`cur`), its left-clamped copy, and the per-class packed-position
   /// table share one allocation (spans are carved out in dp.cpp).
@@ -99,7 +90,7 @@ inline std::size_t workspace_bytes(const DpWorkspace& ws) {
   return ws.codec.bytes_held() + cap(ws.arena) + cap(ws.parent) +
          cap(ws.edge_class) + cap(ws.node_w) + cap(ws.slots) +
          cap(ws.cls_ok) + cap(ws.cls_free) + cap(ws.cls_w) +
-         cap(ws.cls_next_free) + cap(ws.fields) + cap(ws.words) +
+         cap(ws.fields) + cap(ws.words) +
          cap(ws.order) + cap(ws.class_members) + cap(ws.class_begin) +
          cap(ws.class_cursor) + cap(ws.class_choice) + cap(ws.next_free);
 }
@@ -113,7 +104,7 @@ struct DpOptions {
   /// +infinity are forbidden. With `canonicalize_types` the weight must
   /// depend on the track only through its segmentation (true of all
   /// weights in core/weights.h).
-  std::optional<WeightFn> weight;
+  std::optional<WeightFn> weight{};
 
   /// Merge frontiers equal up to permutation of identically segmented
   /// tracks (Theorem 7). Disable to measure the raw Theorem-5/6 bounds.
@@ -126,33 +117,18 @@ struct DpOptions {
   /// Resource bounds checked in the hot loop (one tick per attempted
   /// frontier expansion). On exhaustion the router returns a structured
   /// FailureKind::kBudgetExhausted failure instead of running unbounded.
-  harness::Budget budget;
+  harness::Budget budget{};
 
-  /// Prebuilt index over the channel being routed (must match `ch`).
-  /// Replaces the per-call class derivation and every per-Track
-  /// segment_at binary search with O(1) table lookups. Results are
-  /// bit-identical with and without it.
-  const ChannelIndex* index = nullptr;
-
-  /// Reusable scratch (see DpWorkspace). When null a call-local
-  /// workspace is used — the historical allocate-per-call behavior.
+  /// Reusable scratch (see DpWorkspace). When null a per-thread
+  /// workspace is used (a call-local one for a re-entrant call).
   DpWorkspace* workspace = nullptr;
 };
 
-/// Runs the assignment-graph DP. On success the routing is complete and
-/// valid; for Problem 3, `weight` is the minimum total weight.
-/// `stats.nodes_per_level` reports the size of each level (the paper's L
-/// is `stats.max_level_nodes`).
-RouteResult dp_route(const SegmentedChannel& ch, const ConnectionSet& cs,
+/// Runs the assignment-graph DP on `idx.channel()`. On success the
+/// routing is complete and valid; for Problem 3, `weight` is the minimum
+/// total weight. `stats.nodes_per_level` reports the size of each level
+/// (the paper's L is `stats.max_level_nodes`).
+RouteResult dp_route(const ChannelIndex& idx, const ConnectionSet& cs,
                      const DpOptions& opts = {});
-
-/// Convenience wrappers.
-RouteResult dp_route_unlimited(const SegmentedChannel& ch,
-                               const ConnectionSet& cs);
-RouteResult dp_route_ksegment(const SegmentedChannel& ch,
-                              const ConnectionSet& cs, int k);
-RouteResult dp_route_optimal(const SegmentedChannel& ch,
-                             const ConnectionSet& cs, const WeightFn& w,
-                             int max_segments = 0);
 
 }  // namespace segroute::alg

@@ -47,19 +47,19 @@ struct Unit {
 
 }  // namespace
 
-GeneralizedRouteResult generalized_dp_route(const SegmentedChannel& ch,
+GeneralizedRouteResult generalized_dp_route(const ChannelIndex& idx,
                                             const ConnectionSet& cs,
                                             const GeneralizedDpOptions& opts) {
   GeneralizedRouteResult res;
   res.routing = GeneralizedRouting(cs.size());
   SEGROUTE_SPAN(gdp_span, "alg.generalized_dp_route");
-  if (cs.max_right() > ch.width()) {
+  if (cs.max_right() > idx.width()) {
     res.fail(FailureKind::kInvalidInput, "connections exceed channel width");
     SEGROUTE_SPAN_TAG(gdp_span, "outcome", to_string(res.failure));
     return res;
   }
   harness::BudgetMeter meter(opts.budget);
-  const TrackId T = ch.num_tracks();
+  const TrackId T = idx.num_tracks();
   const std::size_t Ts = static_cast<std::size_t>(T);
   const bool track_prev =
       opts.allowed_switch_columns.has_value() || opts.switch_requires_overlap;
@@ -84,7 +84,7 @@ GeneralizedRouteResult generalized_dp_route(const SegmentedChannel& ch,
   // is arena[i*W .. (i+1)*W)), scalars in parallel vectors — no per-node
   // heap allocation, equality by word compare.
   const std::uint8_t col_bits = static_cast<std::uint8_t>(
-      std::bit_width(static_cast<std::uint32_t>(ch.width() + 1) | 1u));
+      std::bit_width(static_cast<std::uint32_t>(idx.width() + 1) | 1u));
   const std::uint8_t conn_bits = static_cast<std::uint8_t>(
       std::bit_width(static_cast<std::uint32_t>(cs.size()) | 1u));
   const std::uint8_t pattern[4] = {col_bits, conn_bits, conn_bits, conn_bits};
@@ -126,7 +126,7 @@ GeneralizedRouteResult generalized_dp_route(const SegmentedChannel& ch,
   std::vector<std::int64_t> parent;
   std::vector<TrackId> edge_track;
 
-  const Column L0 = U > 0 ? units[0].col : ch.width() + 1;
+  const Column L0 = U > 0 ? units[0].col : idx.width() + 1;
   std::vector<Entry> state(Ts, Entry{L0, kNoConn, kNoConn, kNoConn});
   arena.resize(W);
   pack_entries(state.data(), arena.data());
@@ -239,28 +239,16 @@ GeneralizedRouteResult generalized_dp_route(const SegmentedChannel& ch,
 
   for (std::size_t step = 0; step < U; ++step) {
     const Unit u = units[step];
-    const Column Lnext = (step + 1 < U) ? units[step + 1].col : ch.width() + 1;
+    const Column Lnext = (step + 1 < U) ? units[step + 1].col : idx.width() + 1;
     const bool switch_col_ok =
         !opts.allowed_switch_columns || switch_cols.contains(u.col);
 
-    if (const ChannelIndex* idx = opts.index) {
-      for (TrackId t = 0; t < T; ++t) {
-        seg_end[static_cast<std::size_t>(t)] =
-            idx->seg_right(t, idx->segment_at(t, u.col));
-        if (track_prev && opts.switch_requires_overlap && u.col > 1) {
-          prev_seg_end[static_cast<std::size_t>(t)] =
-              idx->seg_right(t, idx->segment_at(t, u.col - 1));
-        }
-      }
-    } else {
-      for (TrackId t = 0; t < T; ++t) {
-        const Track& tr = ch.track(t);
-        seg_end[static_cast<std::size_t>(t)] =
-            tr.segment(tr.segment_at(u.col)).right;
-        if (track_prev && opts.switch_requires_overlap && u.col > 1) {
-          prev_seg_end[static_cast<std::size_t>(t)] =
-              tr.segment(tr.segment_at(u.col - 1)).right;
-        }
+    for (TrackId t = 0; t < T; ++t) {
+      seg_end[static_cast<std::size_t>(t)] =
+          idx.seg_right(t, idx.segment_at(t, u.col));
+      if (track_prev && opts.switch_requires_overlap && u.col > 1) {
+        prev_seg_end[static_cast<std::size_t>(t)] =
+            idx.seg_right(t, idx.segment_at(t, u.col - 1));
       }
     }
 

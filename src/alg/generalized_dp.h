@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "alg/result.h"
-#include "core/channel.h"
 #include "core/channel_index.h"
 #include "core/connection.h"
 #include "core/generalized.h"
@@ -36,11 +35,6 @@ struct GeneralizedDpOptions {
   /// Resource bounds checked in the hot loop (one tick per attempted
   /// state expansion); exhaustion yields FailureKind::kBudgetExhausted.
   harness::Budget budget;
-
-  /// Prebuilt index over the channel being routed (must match it):
-  /// replaces the per-level per-track segment_at binary searches with
-  /// O(1) lookups. Results are bit-identical with and without it.
-  const ChannelIndex* index = nullptr;
 };
 
 /// Result of a generalized routing attempt.
@@ -60,8 +54,9 @@ struct GeneralizedRouteResult {
   }
 };
 
-/// Solves Problem 4 (or its restricted variants per `opts`).
-GeneralizedRouteResult generalized_dp_route(const SegmentedChannel& ch,
+/// Solves Problem 4 (or its restricted variants per `opts`) on
+/// `idx.channel()`.
+GeneralizedRouteResult generalized_dp_route(const ChannelIndex& idx,
                                             const ConnectionSet& cs,
                                             const GeneralizedDpOptions& opts = {});
 

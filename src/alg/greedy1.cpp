@@ -7,7 +7,7 @@
 
 namespace segroute::alg {
 
-RouteResult greedy1_route_traced(const SegmentedChannel& ch,
+RouteResult greedy1_route_traced(const ChannelIndex& idx,
                                  const ConnectionSet& cs, Greedy1Trace* trace,
                                  TieBreak tie, const RouteContext& ctx) {
   RouteResult res;
@@ -16,7 +16,7 @@ RouteResult greedy1_route_traced(const SegmentedChannel& ch,
   if (trace) {
     trace->segment_of.assign(static_cast<std::size_t>(cs.size()), -1);
   }
-  if (cs.max_right() > ch.width()) {
+  if (cs.max_right() > idx.width()) {
     res.fail(FailureKind::kInvalidInput, "connections exceed channel width");
     SEGROUTE_SPAN_TAG(g1_span, "outcome", to_string(res.failure));
     return res;
@@ -24,25 +24,17 @@ RouteResult greedy1_route_traced(const SegmentedChannel& ch,
   // Candidate tracks rejected (multi-segment span or occupied), flushed
   // once at exit.
   std::uint64_t rejected = 0;
-  const ChannelIndex* idx = ctx.index;
   std::optional<Occupancy> local_occ;
-  Occupancy& occ = ctx.occupancy ? *ctx.occupancy : local_occ.emplace(ch);
+  Occupancy& occ =
+      ctx.occupancy ? *ctx.occupancy : local_occ.emplace(idx.channel());
   if (ctx.occupancy) occ.reset();
   for (ConnId i : cs.sorted_by_left()) {
     const Connection& c = cs[i];
     TrackId best = kNoTrack;
     SegId best_seg = -1;
     Column best_right = 0;
-    for (TrackId t = 0; t < ch.num_tracks(); ++t) {
-      SegId a, b;
-      if (idx) {
-        a = idx->segment_at(t, c.left);
-        b = idx->segment_at(t, c.right);
-      } else {
-        const auto [sa, sb] = ch.track(t).span(c.left, c.right);
-        a = sa;
-        b = sb;
-      }
+    for (TrackId t = 0; t < idx.num_tracks(); ++t) {
+      const auto [a, b] = idx.span(t, c.left, c.right);
       if (a != b) {  // needs more than one segment
         ++rejected;
         continue;
@@ -51,7 +43,7 @@ RouteResult greedy1_route_traced(const SegmentedChannel& ch,
         ++rejected;
         continue;
       }
-      const Column r = idx ? idx->seg_right(t, a) : ch.track(t).segment(a).right;
+      const Column r = idx.seg_right(t, a);
       const bool better =
           best == kNoTrack || r < best_right ||
           (r == best_right && tie == TieBreak::HighestTrack);
@@ -80,9 +72,9 @@ RouteResult greedy1_route_traced(const SegmentedChannel& ch,
   return res;
 }
 
-RouteResult greedy1_route(const SegmentedChannel& ch, const ConnectionSet& cs,
+RouteResult greedy1_route(const ChannelIndex& idx, const ConnectionSet& cs,
                           TieBreak tie, const RouteContext& ctx) {
-  return greedy1_route_traced(ch, cs, nullptr, tie, ctx);
+  return greedy1_route_traced(idx, cs, nullptr, tie, ctx);
 }
 
 }  // namespace segroute::alg

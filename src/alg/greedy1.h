@@ -3,7 +3,6 @@
 #pragma once
 
 #include "alg/result.h"
-#include "core/channel.h"
 #include "core/channel_index.h"
 #include "core/connection.h"
 
@@ -17,12 +16,11 @@ enum class TieBreak { LowestTrack, HighestTrack };
 /// process connections by increasing left end; for each, among tracks
 /// where it fits in one *unoccupied* segment, pick the one whose segment
 /// has the smallest right end. Complete iff any 1-segment routing exists
-/// (Theorem 3).
+/// (Theorem 3). Routes on `idx.channel()`.
 ///
-/// `ctx` optionally supplies a prebuilt ChannelIndex (O(1) segment
-/// lookups) and a reusable Occupancy (reset here; no per-call
-/// allocation). Results are bit-identical with and without it.
-RouteResult greedy1_route(const SegmentedChannel& ch, const ConnectionSet& cs,
+/// `ctx` optionally supplies a reusable Occupancy (reset here; no
+/// per-call allocation). Results are bit-identical with and without it.
+RouteResult greedy1_route(const ChannelIndex& idx, const ConnectionSet& cs,
                           TieBreak tie = TieBreak::LowestTrack,
                           const RouteContext& ctx = {});
 
@@ -33,7 +31,7 @@ struct Greedy1Trace {
 };
 
 /// As greedy1_route but also reports which segment each connection took.
-RouteResult greedy1_route_traced(const SegmentedChannel& ch,
+RouteResult greedy1_route_traced(const ChannelIndex& idx,
                                  const ConnectionSet& cs, Greedy1Trace* trace,
                                  TieBreak tie = TieBreak::LowestTrack,
                                  const RouteContext& ctx = {});

@@ -3,26 +3,26 @@
 #pragma once
 
 #include "alg/result.h"
-#include "core/channel.h"
 #include "core/channel_index.h"
 #include "core/connection.h"
 
 namespace segroute::alg {
 
-/// Routes in an identically segmented channel with the left-edge
-/// algorithm: process connections by increasing left end, assign each to
-/// the first track where none of the segments it would occupy is taken.
+/// Routes in `idx.channel()`, an identically segmented channel, with the
+/// left-edge algorithm: process connections by increasing left end,
+/// assign each to the first track where none of the segments it would
+/// occupy is taken.
 /// Solves Problems 1 and 2 for this special case in O(M*T) track scans.
 /// If `max_segments` > 0, assignments that would occupy more segments are
 /// not considered (K-segment routing).
 ///
-/// Requires ch.identically_segmented(): the algorithm runs on any
+/// Requires identically_segmented(): the algorithm runs on any
 /// channel, but its exactness guarantee requires identical tracks, so a
 /// mixed channel is rejected with FailureKind::kInvalidInput.
 ///
-/// `ctx` optionally supplies a prebuilt ChannelIndex and a reusable
-/// Occupancy (reset here); results are bit-identical with and without it.
-RouteResult left_edge_route(const SegmentedChannel& ch, const ConnectionSet& cs,
+/// `ctx` optionally supplies a reusable Occupancy (reset here); results
+/// are bit-identical with and without it.
+RouteResult left_edge_route(const ChannelIndex& idx, const ConnectionSet& cs,
                             int max_segments = 0,
                             const RouteContext& ctx = {});
 

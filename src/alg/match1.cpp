@@ -1,7 +1,6 @@
 #include "alg/match1.h"
 
 #include <cmath>
-#include <optional>
 
 #include "match/hopcroft_karp.h"
 #include "match/hungarian.h"
@@ -9,80 +8,25 @@
 
 namespace segroute::alg {
 
-namespace {
-
-/// Flattened (track, segment) index space for the right-hand side —
-/// the per-call fallback when no ChannelIndex is supplied (which holds
-/// the same tables prebuilt).
-struct SegIndex {
-  std::vector<int> base;  // per track, offset of its first segment
-  int total = 0;
-
-  explicit SegIndex(const SegmentedChannel& ch) {
-    base.reserve(static_cast<std::size_t>(ch.num_tracks()));
-    for (TrackId t = 0; t < ch.num_tracks(); ++t) {
-      base.push_back(total);
-      total += ch.track(t).num_segments();
-    }
-  }
-  [[nodiscard]] int flat(TrackId t, SegId s) const {
-    return base[static_cast<std::size_t>(t)] + s;
-  }
-  [[nodiscard]] TrackId track_of_flat(int f) const {
-    TrackId t = static_cast<TrackId>(base.size()) - 1;
-    while (base[static_cast<std::size_t>(t)] > f) --t;
-    return t;
-  }
-};
-
-/// Uniform view over ChannelIndex / fallback SegIndex.
-struct FlatSegs {
-  const ChannelIndex* idx;
-  std::optional<SegIndex> local;
-
-  FlatSegs(const SegmentedChannel& ch, const ChannelIndex* index)
-      : idx(index) {
-    if (!idx) local.emplace(ch);
-  }
-  [[nodiscard]] int total() const {
-    return idx ? idx->total_segments() : local->total;
-  }
-  [[nodiscard]] int flat(TrackId t, SegId s) const {
-    return idx ? idx->seg_base(t) + s : local->flat(t, s);
-  }
-  [[nodiscard]] TrackId track_of_flat(int f) const {
-    return idx ? idx->track_of_flat(f) : local->track_of_flat(f);
-  }
-  [[nodiscard]] std::pair<SegId, SegId> span(const SegmentedChannel& ch,
-                                             TrackId t, Column lo,
-                                             Column hi) const {
-    return idx ? idx->span(t, lo, hi) : ch.track(t).span(lo, hi);
-  }
-};
-
-}  // namespace
-
-RouteResult match1_route(const SegmentedChannel& ch, const ConnectionSet& cs,
-                         const RouteContext& ctx) {
+RouteResult match1_route(const ChannelIndex& idx, const ConnectionSet& cs) {
   RouteResult res;
   res.routing = Routing(cs.size());
   SEGROUTE_SPAN(m1_span, "alg.match1_route");
-  if (cs.max_right() > ch.width()) {
+  if (cs.max_right() > idx.width()) {
     res.fail(FailureKind::kInvalidInput, "connections exceed channel width");
     SEGROUTE_SPAN_TAG(m1_span, "outcome", to_string(res.failure));
     return res;
   }
-  FlatSegs idx(ch, ctx.index);
-  match::BipartiteGraph g(cs.size(), idx.total());
+  match::BipartiteGraph g(cs.size(), idx.total_segments());
   std::uint64_t edges = 0;
   {
     SEGROUTE_SPAN(build_span, "match1.build_graph");
     for (ConnId i = 0; i < cs.size(); ++i) {
       const Connection& c = cs[i];
-      for (TrackId t = 0; t < ch.num_tracks(); ++t) {
-        auto [a, b] = idx.span(ch, t, c.left, c.right);
+      for (TrackId t = 0; t < idx.num_tracks(); ++t) {
+        const auto [a, b] = idx.span(t, c.left, c.right);
         if (a == b) {
-          g.add_edge(i, idx.flat(t, a));
+          g.add_edge(i, idx.seg_base(t) + a);
           ++edges;
         }
       }
@@ -107,21 +51,20 @@ RouteResult match1_route(const SegmentedChannel& ch, const ConnectionSet& cs,
   return res;
 }
 
-RouteResult match1_route_optimal(const SegmentedChannel& ch,
-                                 const ConnectionSet& cs, const WeightFn& w,
-                                 const RouteContext& ctx) {
+RouteResult match1_route_optimal(const ChannelIndex& idx,
+                                 const ConnectionSet& cs, const WeightFn& w) {
+  const SegmentedChannel& ch = idx.channel();
   RouteResult res;
   res.routing = Routing(cs.size());
   if (cs.size() == 0) {
     res.success = true;
     return res;
   }
-  if (cs.max_right() > ch.width()) {
+  if (cs.max_right() > idx.width()) {
     res.note = "connections exceed channel width";
     return res;
   }
-  FlatSegs idx(ch, ctx.index);
-  const int total = idx.total();
+  const int total = idx.total_segments();
   if (cs.size() > total) {
     res.fail(FailureKind::kInfeasible, "more connections than segments");
     return res;
@@ -132,12 +75,12 @@ RouteResult match1_route_optimal(const SegmentedChannel& ch,
   for (ConnId i = 0; i < cs.size(); ++i) {
     const Connection& c = cs[i];
     for (TrackId t = 0; t < ch.num_tracks(); ++t) {
-      auto [a, b] = idx.span(ch, t, c.left, c.right);
+      const auto [a, b] = idx.span(t, c.left, c.right);
       if (a != b) continue;
       const double wc = w(ch, c, t);
       if (std::isinf(wc)) continue;
       cost[static_cast<std::size_t>(i) * static_cast<std::size_t>(total) +
-           static_cast<std::size_t>(idx.flat(t, a))] = wc;
+           static_cast<std::size_t>(idx.seg_base(t) + a)] = wc;
     }
   }
   const auto m = match::hungarian(cs.size(), total, cost);

@@ -8,7 +8,7 @@
 
 namespace segroute::alg {
 
-RouteResult partial_route(const SegmentedChannel& ch, const ConnectionSet& cs,
+RouteResult partial_route(const ChannelIndex& idx, const ConnectionSet& cs,
                           const PartialOptions& opts, const RouteContext& ctx) {
   SEGROUTE_SPAN(span, "alg.partial");
   RouteResult res;
@@ -18,16 +18,16 @@ RouteResult partial_route(const SegmentedChannel& ch, const ConnectionSet& cs,
     return res;
   }
 
-  const TrackId T = ch.num_tracks();
-  const Column W = ch.width();
+  const TrackId T = idx.num_tracks();
+  const Column W = idx.width();
 
   // Borrowed workspace when the engine provides one, a local otherwise.
   std::optional<Occupancy> local;
   Occupancy* occ = ctx.occupancy;
   if (occ) {
-    occ->rebind(ch);  // clears; reuses rows when the shape matches
+    occ->rebind(idx.channel());  // clears; reuses rows when the shape matches
   } else {
-    local.emplace(ch);
+    local.emplace(idx.channel());
     occ = &*local;
   }
 
@@ -49,9 +49,7 @@ RouteResult partial_route(const SegmentedChannel& ch, const ConnectionSet& cs,
     TrackId best = kNoTrack;
     int best_spans = 0;
     for (TrackId t = 0; t < T; ++t) {
-      const int spans = ctx.index
-                            ? ctx.index->segments_spanned(t, c.left, c.right)
-                            : ch.track(t).segments_spanned(c.left, c.right);
+      const int spans = idx.segments_spanned(t, c.left, c.right);
       if (opts.max_segments > 0 && spans > opts.max_segments) continue;
       if (best != kNoTrack && spans >= best_spans) continue;
       if (!occ->fits(t, c.left, c.right)) continue;

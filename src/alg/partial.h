@@ -29,7 +29,6 @@
 #pragma once
 
 #include "alg/result.h"
-#include "core/channel.h"
 #include "core/channel_index.h"
 #include "core/connection.h"
 #include "harness/budget.h"
@@ -45,9 +44,10 @@ struct PartialOptions {
   harness::Budget budget;
 };
 
-/// Routes the maximal greedy subset of `cs` on `ch`. Registered in
-/// alg::registry() as "partial". See file comment for the contract.
-RouteResult partial_route(const SegmentedChannel& ch, const ConnectionSet& cs,
+/// Routes the maximal greedy subset of `cs` on `idx.channel()`.
+/// Registered in alg::registry() as "partial". See file comment for the
+/// contract.
+RouteResult partial_route(const ChannelIndex& idx, const ConnectionSet& cs,
                           const PartialOptions& opts = {},
                           const RouteContext& ctx = {});
 

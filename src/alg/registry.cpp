@@ -22,7 +22,7 @@ namespace segroute::alg {
 
 namespace {
 
-RouteResult route_dp(const RouteRequest& rq) {
+RouteResult route_dp(const ChannelIndex& idx, const RouteRequest& rq) {
   DpOptions o;
   o.max_segments = rq.options.max_segments;
   o.weight = rq.options.weight;
@@ -30,12 +30,11 @@ RouteResult route_dp(const RouteRequest& rq) {
   o.max_total_nodes = static_cast<std::uint64_t>(
       rq.options.param_int("max_total_nodes", 20'000'000));
   o.budget = rq.budget;
-  o.index = rq.context.index;
   o.workspace = rq.dp_workspace;
-  return dp_route(*rq.channel, *rq.connections, o);
+  return dp_route(idx, *rq.connections, o);
 }
 
-RouteResult route_greedy1(const RouteRequest& rq) {
+RouteResult route_greedy1(const ChannelIndex& idx, const RouteRequest& rq) {
   const std::string tb = rq.options.param_str("tie_break", "lowest");
   TieBreak tie;
   if (tb == "lowest") {
@@ -49,27 +48,27 @@ RouteResult route_greedy1(const RouteRequest& rq) {
              "greedy1: unknown tie_break \"" + tb + "\"");
     return res;
   }
-  return greedy1_route(*rq.channel, *rq.connections, tie, rq.context);
+  return greedy1_route(idx, *rq.connections, tie, rq.context);
 }
 
-RouteResult route_match1(const RouteRequest& rq) {
+RouteResult route_match1(const ChannelIndex& idx, const RouteRequest& rq) {
   if (rq.options.weight) {
-    return match1_route_optimal(*rq.channel, *rq.connections,
-                                *rq.options.weight, rq.context);
+    return match1_route_optimal(idx, *rq.connections, *rq.options.weight);
   }
-  return match1_route(*rq.channel, *rq.connections, rq.context);
+  return match1_route(idx, *rq.connections);
 }
 
-RouteResult route_greedy2track(const RouteRequest& rq) {
-  return greedy2track_route(*rq.channel, *rq.connections);
+RouteResult route_greedy2track(const ChannelIndex& idx,
+                               const RouteRequest& rq) {
+  return greedy2track_route(idx.channel(), *rq.connections);
 }
 
-RouteResult route_left_edge(const RouteRequest& rq) {
-  return left_edge_route(*rq.channel, *rq.connections,
-                         rq.options.max_segments, rq.context);
+RouteResult route_left_edge(const ChannelIndex& idx, const RouteRequest& rq) {
+  return left_edge_route(idx, *rq.connections, rq.options.max_segments,
+                         rq.context);
 }
 
-RouteResult route_lp(const RouteRequest& rq) {
+RouteResult route_lp(const ChannelIndex& idx, const RouteRequest& rq) {
   LpRouteOptions o;
   o.max_segments = rq.options.max_segments;
   o.max_rounding_passes =
@@ -80,13 +79,13 @@ RouteResult route_lp(const RouteRequest& rq) {
       rq.options.param_int("jitter_seed", 0x5e60e7eLL));
   o.budget = rq.budget;
   if (rq.options.weight) {
-    return lp_route_optimal(*rq.channel, *rq.connections, *rq.options.weight,
-                            o);
+    return lp_route_optimal(idx.channel(), *rq.connections,
+                            *rq.options.weight, o);
   }
-  return lp_route(*rq.channel, *rq.connections, o);
+  return lp_route(idx.channel(), *rq.connections, o);
 }
 
-RouteResult route_anneal(const RouteRequest& rq) {
+RouteResult route_anneal(const ChannelIndex& idx, const RouteRequest& rq) {
   AnnealRouteOptions o;
   o.max_segments = rq.options.max_segments;
   o.iterations = static_cast<int>(rq.options.param_int("iterations", 200000));
@@ -95,31 +94,30 @@ RouteResult route_anneal(const RouteRequest& rq) {
   o.t_end = rq.options.param_double("t_end", 0.01);
   o.seed = static_cast<std::uint64_t>(rq.options.param_int("seed", 0xa11ea1LL));
   o.budget = rq.budget;
-  return anneal_route(*rq.channel, *rq.connections, o);
+  return anneal_route(idx.channel(), *rq.connections, o);
 }
 
-RouteResult route_branch_bound(const RouteRequest& rq) {
+RouteResult route_branch_bound(const ChannelIndex& idx,
+                               const RouteRequest& rq) {
   BranchBoundOptions o;
   o.max_segments = rq.options.max_segments;
   o.max_nodes = static_cast<std::uint64_t>(
       rq.options.param_int("max_nodes", 50'000'000));
   o.budget = rq.budget;
-  o.index = rq.context.index;
-  return branch_bound_route(*rq.channel, *rq.connections, *rq.options.weight,
-                            o);
+  return branch_bound_route(idx, *rq.connections, *rq.options.weight, o);
 }
 
-RouteResult route_exhaustive(const RouteRequest& rq) {
+RouteResult route_exhaustive(const ChannelIndex& idx, const RouteRequest& rq) {
   ExhaustiveOptions o;
   o.max_segments = rq.options.max_segments;
   o.weight = rq.options.weight;
   o.max_branches = static_cast<std::uint64_t>(
       rq.options.param_int("max_branches", 50'000'000));
   o.budget = rq.budget;
-  return exhaustive_route(*rq.channel, *rq.connections, o);
+  return exhaustive_route(idx.channel(), *rq.connections, o);
 }
 
-RouteResult route_online(const RouteRequest& rq) {
+RouteResult route_online(const ChannelIndex& idx, const RouteRequest& rq) {
   const ConnectionSet& cs = *rq.connections;
   RouteResult res;
   res.routing = Routing(cs.size());
@@ -135,7 +133,7 @@ RouteResult route_online(const RouteRequest& rq) {
     return res;
   }
   const bool ripup = rq.options.param_bool("ripup", true);
-  OnlineRouter router(*rq.channel, p, rq.options.max_segments);
+  OnlineRouter router(idx.channel(), p, rq.options.max_segments);
   // Insert in id order: OnlineRouter hands out ids 0, 1, ... in insertion
   // order, so its ids coincide with the ConnectionSet's.
   for (ConnId i = 0; i < cs.size(); ++i) {
@@ -157,7 +155,7 @@ RouteResult route_online(const RouteRequest& rq) {
   return res;
 }
 
-RouteResult route_delta(const RouteRequest& rq) {
+RouteResult route_delta(const ChannelIndex& idx, const RouteRequest& rq) {
   const std::string policy = rq.options.param_str("policy", "best-fit");
   bool best_fit;
   if (policy == "best-fit") {
@@ -172,7 +170,7 @@ RouteResult route_delta(const RouteRequest& rq) {
     return res;
   }
   CanonicalResult cr =
-      from_scratch(*rq.channel, *rq.connections, best_fit,
+      from_scratch(idx.channel(), *rq.connections, best_fit,
                    rq.options.max_segments, rq.budget);
   if (cr.result.success && cr.result.note.empty()) {
     cr.result.note = cr.regime == CanonicalRegime::kGreedy ? "regime=greedy"
@@ -181,16 +179,16 @@ RouteResult route_delta(const RouteRequest& rq) {
   return cr.result;
 }
 
-RouteResult route_express(const RouteRequest& rq) {
-  return net::express_route(*rq.channel, *rq.connections,
-                            rq.options.max_segments, rq.context);
+RouteResult route_express(const ChannelIndex& idx, const RouteRequest& rq) {
+  return net::express_route(idx, *rq.connections, rq.options.max_segments,
+                            rq.context);
 }
 
-RouteResult route_partial(const RouteRequest& rq) {
+RouteResult route_partial(const ChannelIndex& idx, const RouteRequest& rq) {
   PartialOptions o;
   o.max_segments = rq.options.max_segments;
   o.budget = rq.budget;
-  return partial_route(*rq.channel, *rq.connections, o, rq.context);
+  return partial_route(idx, *rq.connections, o, rq.context);
 }
 
 /// Comma-separated registry names, for the unknown-router diagnostic.
@@ -313,7 +311,9 @@ RouteResult route(const RouterEntry& e, const RouteRequest& req) {
                  ": every track must have at most two segments");
     return res;
   }
-  return e.route(req);
+  if (req.context.index != nullptr) return e.route(*req.context.index, req);
+  const ChannelIndex idx(*req.channel);
+  return e.route(idx, req);
 }
 
 RouteResult route(std::string_view name, const RouteRequest& req) {

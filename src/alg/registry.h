@@ -20,15 +20,17 @@
 namespace segroute::alg {
 
 /// One registered router. `name` and the descriptive strings have static
-/// storage duration (usable directly as span names/tags). `route` never
-/// throws on invalid input: malformed requests — and requests outside
-/// the capability envelope — come back as kInvalidInput.
+/// storage duration (usable directly as span names/tags). `route` reads
+/// the channel through the index it is handed (built for
+/// `*req.channel`) and never throws on invalid input: malformed
+/// requests — and requests outside the capability envelope — come back
+/// as kInvalidInput.
 struct RouterEntry {
   const char* name;        // registry key, e.g. "dp"
   const char* problem;     // paper problem solved + section
   const char* complexity;  // headline bound or "heuristic"
   RouterCaps caps;
-  RouteResult (*route)(const RouteRequest&);
+  RouteResult (*route)(const ChannelIndex&, const RouteRequest&);
 };
 
 /// All registered routers, in stable documentation order. The reference
@@ -43,7 +45,9 @@ const RouterEntry* find_router(std::string_view name);
 /// does not support (or a missing one it requires), and channel shapes
 /// outside its capability envelope (needs_identical_tracks,
 /// needs_le2_segments_per_track) all return kInvalidInput without
-/// invoking the router. Emits one "alg.route" span tagged
+/// invoking the router. A request without `context.index` gets an index
+/// built here for the call; this is the only place the library builds
+/// one on a caller's behalf. Emits one "alg.route" span tagged
 /// router=<name>. Never throws on invalid input.
 RouteResult route(const RouterEntry& e, const RouteRequest& req);
 

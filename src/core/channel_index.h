@@ -27,7 +27,13 @@
 // channel — changes the fingerprint, so caches keyed by it cannot serve
 // stale answers across hardware faults.
 //
+// The index is the only view of channel structure the routers read:
+// each of them takes a `const ChannelIndex&` and reaches the channel
+// itself through channel().
+//
 // Lifetime: the index borrows the channel; the channel must outlive it.
+// Construction from a temporary channel is deleted so the borrow cannot
+// dangle at the end of a full-expression.
 #pragma once
 
 #include <cstdint>
@@ -44,6 +50,7 @@ class Occupancy;  // core/routing.h
 class ChannelIndex {
  public:
   explicit ChannelIndex(const SegmentedChannel& ch);
+  ChannelIndex(SegmentedChannel&&) = delete;
 
   [[nodiscard]] const SegmentedChannel& channel() const { return *ch_; }
   [[nodiscard]] std::uint64_t fingerprint() const { return fingerprint_; }
@@ -139,14 +146,10 @@ class ChannelIndex {
   std::vector<int> covering_;  // (width+1) x T, row-major by column
 };
 
-/// Shared routing context threaded through the hot routers: a prebuilt
-/// index over the channel being routed and (optionally) a reusable
-/// occupancy workspace. Both are borrowed; when `index` is set it MUST
-/// have been built for the same channel the router is called with, and an
-/// `occupancy` must have been constructed (or rebound) for it too. Default
-/// (all null) reproduces the historical per-call derivation exactly.
+/// Optional scratch threaded through the occupancy-based routers: a
+/// reusable occupancy workspace, borrowed, constructed (or rebound) for
+/// the channel being routed. Null allocates one per call.
 struct RouteContext {
-  const ChannelIndex* index = nullptr;
   Occupancy* occupancy = nullptr;
 };
 

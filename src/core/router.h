@@ -3,16 +3,19 @@
 //
 // The paper poses four problem variants (unlimited, K-segment,
 // weighted-optimal, generalized) and this library implements about a
-// dozen routers for them. Historically each had its own signature —
-// positional tie-break enums, optional RouteContext parameters, ad-hoc
-// throw contracts — so every consumer (the robust_route portfolio, the
-// batch engine, capacity search, benches, tests) hand-wired each router
-// separately. A RouteRequest carries everything any of them needs:
+// dozen routers for them. Each router reads channel structure through a
+// ChannelIndex, the one channel view (segment spans, flat segment tables
+// and identical-segmentation track types), and has its own typed options.
+// A RouteRequest carries everything any of them needs, so consumers (the
+// robust_route portfolio, the batch engine, benches, tests) call every
+// router the same way:
 //
 //   - the channel and connection set to route (borrowed, required);
-//   - optional shared structure and scratch: a prebuilt ChannelIndex,
-//     a reusable Occupancy (both via RouteContext) and a DP workspace,
-//     so engine-style callers stay allocation-free in steady state;
+//   - optional shared structure and scratch: a prebuilt ChannelIndex and
+//     a reusable Occupancy (RouteRequest::context) and a DP workspace, so
+//     engine-style callers stay allocation-free in steady state. A
+//     request without an index gets one built by alg::route, the only
+//     place that builds an index on a caller's behalf;
 //   - RouterOptions: the common knobs (K-segment limit, optimization
 //     weight) plus a string-keyed parameter map for router-specific
 //     extras (tie-break policy, annealing schedule, node caps);
@@ -162,9 +165,13 @@ struct RouteRequest {
   const ConnectionSet* connections = nullptr;
 
   /// Optional shared structure and occupancy scratch. When
-  /// context.index is set it MUST have been built for `*channel`;
-  /// results are bit-identical with and without it.
-  RouteContext context;
+  /// `context.index` is set it MUST have been built for `*channel`; when
+  /// it is null, alg::route builds one for the call. A prebuilt index
+  /// only saves that build: results are bit-identical either way.
+  struct Context : RouteContext {
+    const ChannelIndex* index = nullptr;
+  };
+  Context context;
 
   /// Optional reusable scratch for the DP-family routers (ignored by the
   /// rest). One workspace per thread, never shared by concurrent calls.

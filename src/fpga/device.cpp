@@ -98,7 +98,7 @@ std::vector<ChannelReport> route_device(
     }
     for (int t = std::max(1, rep.density); t <= track_limit; ++t) {
       const auto channel = make_channel(t, dev.columns());
-      const auto r = alg::dp_route_unlimited(channel, cs);
+      const auto r = alg::dp_route(ChannelIndex(channel), cs);
       if (r.success) {
         rep.tracks_used = t;
         rep.delay = routing_delay(channel, cs, r.routing, delay_params);

@@ -191,8 +191,7 @@ ChaosReport run_chaos(const SegmentedChannel& ch, const ConnectionSet& cs,
         SEGROUTE_SPAN(partial_span, "chaos.partial");
         alg::PartialOptions po;
         po.max_segments = opts.max_segments;
-        const alg::RouteResult pr =
-            alg::partial_route(degraded->channel, cs, po);
+        const alg::RouteResult pr = alg::partial_route(engine.index(), cs, po);
         VerifyOptions pvo = vo;
         pvo.require_complete = false;
         if (deg_verifier.check(pr.routing, pvo)) {

@@ -148,32 +148,30 @@ NetworkReport offer_traffic(const SegmentedChannel& ch,
   return rep;
 }
 
-alg::RouteResult express_route(const SegmentedChannel& ch,
+alg::RouteResult express_route(const ChannelIndex& idx,
                                const ConnectionSet& cs, int max_segments,
                                const RouteContext& ctx) {
   alg::RouteResult res;
   res.routing = Routing(cs.size());
-  if (cs.max_right() > ch.width()) {
+  if (cs.max_right() > idx.width()) {
     res.fail(alg::FailureKind::kInvalidInput,
              "connections exceed channel width");
     return res;
   }
-  const ChannelIndex* idx = ctx.index;
   std::optional<Occupancy> local_occ;
-  Occupancy& occ = ctx.occupancy ? *ctx.occupancy : local_occ.emplace(ch);
+  Occupancy& occ =
+      ctx.occupancy ? *ctx.occupancy : local_occ.emplace(idx.channel());
   if (ctx.occupancy) occ.reset();
   for (ConnId i : cs.sorted_by_left()) {
     const Connection& c = cs[i];
     TrackId best = kNoTrack;
     int best_segs = 0;
     Column best_len = 0;
-    for (TrackId t = 0; t < ch.num_tracks(); ++t) {
-      const int segs = idx ? idx->segments_spanned(t, c.left, c.right)
-                           : ch.track(t).segments_spanned(c.left, c.right);
+    for (TrackId t = 0; t < idx.num_tracks(); ++t) {
+      const int segs = idx.segments_spanned(t, c.left, c.right);
       if (max_segments > 0 && segs > max_segments) continue;
       if (!occ.fits(t, c.left, c.right)) continue;
-      const Column len = idx ? idx->occupied_length(t, c.left, c.right)
-                             : ch.track(t).occupied_length(c.left, c.right);
+      const Column len = idx.occupied_length(t, c.left, c.right);
       if (best == kNoTrack || segs < best_segs ||
           (segs == best_segs && len < best_len)) {
         best = t;

@@ -78,15 +78,15 @@ NetworkReport offer_traffic(const SegmentedChannel& ch,
                             const fpga::DelayParams& params = {});
 
 /// The express assignment policy as a batch router: routes a
-/// ConnectionSet by left-end order, placing each connection on the
-/// feasible track with the fewest occupied segments (ties: shortest
-/// occupied length, then lowest track). With `max_segments` > 0,
-/// assignments occupying more segments are not considered. Heuristic —
-/// a kInfeasible failure means "gave up", not a proof. `ctx` optionally
-/// supplies a prebuilt ChannelIndex and a reusable Occupancy (reset
-/// here); results are bit-identical with and without it. Registered in
+/// ConnectionSet on `idx.channel()` by left-end order, placing each
+/// connection on the feasible track with the fewest occupied segments
+/// (ties: shortest occupied length, then lowest track). With
+/// `max_segments` > 0, assignments occupying more segments are not
+/// considered. Heuristic — a kInfeasible failure means "gave up", not a
+/// proof. `ctx` optionally supplies a reusable Occupancy (reset here);
+/// results are bit-identical with and without it. Registered in
 /// alg::registry() as "express".
-alg::RouteResult express_route(const SegmentedChannel& ch,
+alg::RouteResult express_route(const ChannelIndex& idx,
                                const ConnectionSet& cs, int max_segments = 0,
                                const RouteContext& ctx = {});
 

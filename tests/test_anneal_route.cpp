@@ -25,6 +25,7 @@ TEST(AnnealRoute, NeverClaimsSuccessWithAnInvalidRouting) {
   std::mt19937_64 rng(181);
   for (int iter = 0; iter < 25; ++iter) {
     const auto ch = gen::staggered_segmentation(4, 24, 6);
+    const ChannelIndex idx(ch);
     const auto cs = gen::geometric_workload(
         4 + static_cast<int>(rng() % 8), 24, 5.0, rng);
     AnnealRouteOptions o;
@@ -34,7 +35,7 @@ TEST(AnnealRoute, NeverClaimsSuccessWithAnInvalidRouting) {
     if (r.success) {
       EXPECT_TRUE(validate(ch, cs, r.routing)) << "iter " << iter;
       // Success implies the exact router agrees the instance is routable.
-      EXPECT_TRUE(dp_route_unlimited(ch, cs).success) << "iter " << iter;
+      EXPECT_TRUE(dp_route(idx, cs).success) << "iter " << iter;
     }
   }
 }

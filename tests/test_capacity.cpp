@@ -100,13 +100,14 @@ TEST(Capacity, MaxRoutablePrefixMatchesDirectScan) {
   std::mt19937_64 rng(153);
   for (int iter = 0; iter < 20; ++iter) {
     const auto ch = gen::staggered_segmentation(3, 20, 5);
+    const ChannelIndex idx(ch);
     const auto cs = gen::geometric_workload(10, 20, 5.0, rng);
     const int fast = max_routable_prefix(ch, cs);
     int slow = 0;
     for (int m = 1; m <= cs.size(); ++m) {
       ConnectionSet sub;
       for (ConnId i = 0; i < m; ++i) sub.add(cs[i].left, cs[i].right);
-      if (dp_route_unlimited(ch, sub).success) slow = m;
+      if (dp_route(idx, sub).success) slow = m;
       else break;  // prefixes are monotone
     }
     EXPECT_EQ(fast, slow) << "iter " << iter;

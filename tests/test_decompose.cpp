@@ -51,14 +51,14 @@ TEST(Decompose, PartsPartitionTheConnections) {
 TEST(Decompose, AgreesWithDirectDpOnIdenticalChannels) {
   std::mt19937_64 rng(211);
   const auto dp = [](const SegmentedChannel& c, const ConnectionSet& s) {
-    return dp_route_unlimited(c, s);
+    return dp_route(ChannelIndex(c), s);
   };
   int yes = 0, no = 0;
   for (int iter = 0; iter < 60; ++iter) {
     const auto ch = SegmentedChannel::identical(3, 36, {6, 12, 18, 24, 30});
     const auto cs = gen::geometric_workload(
         4 + static_cast<int>(rng() % 8), 36, 4.0, rng);
-    const auto direct = dp_route_unlimited(ch, cs);
+    const auto direct = dp_route(ChannelIndex(ch), cs);
     const auto split = decompose_route(ch, cs, dp);
     ASSERT_EQ(direct.success, split.success) << "iter " << iter;
     if (split.success) {
@@ -92,7 +92,7 @@ TEST(Decompose, NoCutsMeansOnePart) {
   const auto parts = split_parts(ch, cs);
   EXPECT_EQ(parts.size(), 1u);
   const auto r = decompose_route(ch, cs, [](const auto& c, const auto& s) {
-    return dp_route_unlimited(c, s);
+    return dp_route(ChannelIndex(c), s);
   });
   EXPECT_TRUE(r.success);
 }
@@ -104,7 +104,7 @@ TEST(Decompose, FailurePropagatesFromTheFailingPart) {
   cs.add(5, 6, "x1");
   cs.add(7, 8, "x2");  // same middle segment as x1, single track
   const auto r = decompose_route(ch, cs, [](const auto& c, const auto& s) {
-    return dp_route_unlimited(c, s);
+    return dp_route(ChannelIndex(c), s);
   });
   EXPECT_FALSE(r.success);
   EXPECT_NE(r.note.find("part of 2"), std::string::npos);
@@ -114,7 +114,7 @@ TEST(Decompose, EmptyConnectionSet) {
   const auto ch = SegmentedChannel::identical(1, 8, {4});
   const auto r = decompose_route(ch, ConnectionSet{},
                                  [](const auto& c, const auto& s) {
-                                   return dp_route_unlimited(c, s);
+                                   return dp_route(ChannelIndex(c), s);
                                  });
   EXPECT_TRUE(r.success);
 }

@@ -70,7 +70,7 @@ TEST(Delay, GeneralizedRouteChargesTwoSwitchesPerTrackChange) {
 TEST(Delay, RoutingDelayAggregates) {
   const auto ch = gen::fixtures::fig3_channel();
   const auto cs = gen::fixtures::fig3_connections();
-  const auto r = alg::dp_route_unlimited(ch, cs);
+  const auto r = alg::dp_route(ChannelIndex(ch), cs);
   ASSERT_TRUE(r.success);
   const auto st = routing_delay(ch, cs, r.routing);
   EXPECT_GT(st.max_delay, 0.0);

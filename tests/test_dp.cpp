@@ -43,7 +43,7 @@ SegmentedChannel random_channel(TrackId T, Column width, int max_cuts,
 TEST(Dp, RoutesFig3) {
   const auto ch = gen::fixtures::fig3_channel();
   const auto cs = gen::fixtures::fig3_connections();
-  const auto r = dp_route_unlimited(ch, cs);
+  const auto r = dp_route(ChannelIndex(ch), cs);
   ASSERT_TRUE(r.success) << r.note;
   EXPECT_TRUE(validate(ch, cs, r.routing));
 }
@@ -55,7 +55,7 @@ TEST(Dp, FeasibilityMatchesExhaustiveOnRandomInstances) {
     const auto ch = random_channel(3, 14, 3, rng);
     const auto cs = gen::geometric_workload(
         2 + static_cast<int>(rng() % 6), 14, 4.0, rng);
-    const auto d = dp_route_unlimited(ch, cs);
+    const auto d = dp_route(ChannelIndex(ch), cs);
     const auto e = exhaustive_route(ch, cs);
     ASSERT_EQ(d.success, e.success) << "iter " << iter;
     if (d.success) {
@@ -78,7 +78,7 @@ TEST(Dp, KSegmentFeasibilityMatchesExhaustive) {
     const int k = 1 + static_cast<int>(rng() % 3);
     ExhaustiveOptions eo;
     eo.max_segments = k;
-    const auto d = dp_route_ksegment(ch, cs, k);
+    const auto d = dp_route(ChannelIndex(ch), cs, {.max_segments = k});
     const auto e = exhaustive_route(ch, cs, eo);
     ASSERT_EQ(d.success, e.success) << "iter " << iter << " k=" << k;
     if (d.success) {
@@ -91,15 +91,16 @@ TEST(Dp, KSegmentSuccessIsMonotoneInK) {
   std::mt19937_64 rng(63);
   for (int iter = 0; iter < 40; ++iter) {
     const auto ch = random_channel(3, 16, 4, rng);
+    const ChannelIndex idx(ch);
     const auto cs = gen::geometric_workload(
         2 + static_cast<int>(rng() % 6), 16, 4.0, rng);
     bool prev = false;
     for (int k = 1; k <= 5; ++k) {
-      const bool ok = dp_route_ksegment(ch, cs, k).success;
+      const bool ok = dp_route(idx, cs, {.max_segments = k}).success;
       EXPECT_TRUE(!prev || ok) << "success lost when K grew, iter " << iter;
       prev = ok;
     }
-    EXPECT_EQ(prev, dp_route_unlimited(ch, cs).success) << "iter " << iter;
+    EXPECT_EQ(prev, dp_route(idx, cs).success) << "iter " << iter;
   }
 }
 
@@ -112,7 +113,7 @@ TEST(Dp, OptimalWeightMatchesExhaustiveBranchAndBound) {
         2 + static_cast<int>(rng() % 4), 12, 3.5, rng);
     ExhaustiveOptions eo;
     eo.weight = w;
-    const auto d = dp_route_optimal(ch, cs, w);
+    const auto d = dp_route(ChannelIndex(ch), cs, {.weight = w});
     const auto e = exhaustive_route(ch, cs, eo);
     ASSERT_EQ(d.success, e.success) << "iter " << iter;
     if (d.success) {
@@ -127,13 +128,14 @@ TEST(Dp, CanonicalizationDoesNotChangeTheAnswer) {
   for (int iter = 0; iter < 60; ++iter) {
     // Channels with repeated track types so canonicalization has bite.
     const auto ch = gen::staggered_segmentation(4, 16, 4);
+    const ChannelIndex idx(ch);
     const auto cs = gen::geometric_workload(
         3 + static_cast<int>(rng() % 6), 16, 4.0, rng);
     DpOptions with, without;
     with.canonicalize_types = true;
     without.canonicalize_types = false;
-    const auto a = dp_route(ch, cs, with);
-    const auto b = dp_route(ch, cs, without);
+    const auto a = dp_route(idx, cs, with);
+    const auto b = dp_route(idx, cs, without);
     EXPECT_EQ(a.success, b.success) << "iter " << iter;
     // Merged states can never outnumber raw states.
     EXPECT_LE(a.stats.max_level_nodes, b.stats.max_level_nodes);
@@ -149,7 +151,7 @@ TEST(Dp, Theorem5FrontierBoundHolds) {
     const auto cs = gen::geometric_workload(8, 14, 4.0, rng);
     DpOptions o;
     o.canonicalize_types = false;  // the theorem counts raw frontiers
-    const auto r = dp_route(ch, cs, o);
+    const auto r = dp_route(ChannelIndex(ch), cs, o);
     EXPECT_LE(r.stats.max_level_nodes, 2 * factorial(T))
         << "T=" << T << " iter=" << iter;
   }
@@ -166,7 +168,7 @@ TEST(Dp, Theorem6FrontierBoundHolds) {
     DpOptions o;
     o.canonicalize_types = false;
     o.max_segments = K;
-    const auto r = dp_route(ch, cs, o);
+    const auto r = dp_route(ChannelIndex(ch), cs, o);
     EXPECT_LE(r.stats.max_level_nodes, ipow(static_cast<std::uint64_t>(K + 1), T))
         << "T=" << T << " K=" << K << " iter=" << iter;
   }
@@ -178,7 +180,7 @@ TEST(Dp, IdenticalTracksCollapseToLinearStates) {
   const auto ch = SegmentedChannel::identical(8, 24, {6, 12, 18});
   std::mt19937_64 rng(68);
   const auto cs = gen::geometric_workload(16, 24, 4.0, rng);
-  const auto r = dp_route_unlimited(ch, cs);
+  const auto r = dp_route(ChannelIndex(ch), cs);
   // Theorem 7 with one type: O(T^K)-ish; assert a generous concrete cap.
   EXPECT_LE(r.stats.max_level_nodes, 512u);
 }
@@ -188,7 +190,7 @@ TEST(Dp, InfeasibleInstanceReportsEmptyLevel) {
   ConnectionSet cs;
   cs.add(1, 2);
   cs.add(3, 4);  // same segment
-  const auto r = dp_route_unlimited(ch, cs);
+  const auto r = dp_route(ChannelIndex(ch), cs);
   EXPECT_FALSE(r.success);
   EXPECT_NE(r.note.find("empty"), std::string::npos);
   EXPECT_EQ(r.stats.nodes_per_level.back(), 0u);
@@ -196,7 +198,7 @@ TEST(Dp, InfeasibleInstanceReportsEmptyLevel) {
 
 TEST(Dp, EmptyConnectionSetSucceeds) {
   const auto ch = SegmentedChannel::identical(2, 5, {});
-  const auto r = dp_route_unlimited(ch, ConnectionSet{});
+  const auto r = dp_route(ChannelIndex(ch), ConnectionSet{});
   EXPECT_TRUE(r.success);
 }
 
@@ -204,7 +206,7 @@ TEST(Dp, ConnectionsBeyondWidthFailGracefully) {
   const auto ch = SegmentedChannel::identical(2, 5, {});
   ConnectionSet cs;
   cs.add(1, 9);
-  EXPECT_FALSE(dp_route_unlimited(ch, cs).success);
+  EXPECT_FALSE(dp_route(ChannelIndex(ch), cs).success);
 }
 
 TEST(Dp, NodeLimitAbortsCleanly) {
@@ -214,7 +216,7 @@ TEST(Dp, NodeLimitAbortsCleanly) {
   DpOptions o;
   o.canonicalize_types = false;
   o.max_total_nodes = 4;  // absurdly small
-  const auto r = dp_route(ch, cs, o);
+  const auto r = dp_route(ChannelIndex(ch), cs, o);
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.failure, FailureKind::kBudgetExhausted);
   EXPECT_NE(r.note.find("node limit"), std::string::npos);
@@ -227,11 +229,12 @@ TEST(Dp, WeightsRespectKSegmentCap) {
   std::mt19937_64 rng(70);
   for (int iter = 0; iter < 40; ++iter) {
     const auto ch = random_channel(3, 14, 4, rng);
+    const ChannelIndex idx(ch);
     const auto cs = gen::geometric_workload(
         2 + static_cast<int>(rng() % 5), 14, 4.0, rng);
     const auto via_weight =
-        dp_route_optimal(ch, cs, weights::segments_capped(2));
-    const auto via_k = dp_route_ksegment(ch, cs, 2);
+        dp_route(idx, cs, {.weight = weights::segments_capped(2)});
+    const auto via_k = dp_route(idx, cs, {.max_segments = 2});
     EXPECT_EQ(via_weight.success, via_k.success) << "iter " << iter;
     if (via_weight.success) {
       EXPECT_TRUE(validate(ch, cs, via_weight.routing, 2)) << "iter " << iter;
@@ -242,7 +245,7 @@ TEST(Dp, WeightsRespectKSegmentCap) {
 TEST(Dp, StatsLevelsCountConnectionsPlusRoot) {
   const auto ch = gen::fixtures::fig3_channel();
   const auto cs = gen::fixtures::fig3_connections();
-  const auto r = dp_route_unlimited(ch, cs);
+  const auto r = dp_route(ChannelIndex(ch), cs);
   ASSERT_TRUE(r.success);
   EXPECT_EQ(r.stats.nodes_per_level.size(),
             static_cast<std::size_t>(cs.size()) + 1);

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <random>
 #include <set>
+#include <type_traits>
 #include <vector>
 
 #include "alg/dp.h"
@@ -95,13 +96,17 @@ TEST(ChannelIndex, FingerprintDistinguishesStructuralEdits) {
   EXPECT_EQ(idx.fingerprint(), ChannelIndex(ch).fingerprint());  // stable
 
   // Any structural perturbation moves the fingerprint.
-  EXPECT_NE(idx.fingerprint(),
-            ChannelIndex(gen::staggered_segmentation(7, 32, 8)).fingerprint());
-  EXPECT_NE(idx.fingerprint(),
-            ChannelIndex(gen::staggered_segmentation(6, 33, 8)).fingerprint());
-  EXPECT_NE(idx.fingerprint(),
-            ChannelIndex(gen::staggered_segmentation(6, 32, 7)).fingerprint());
+  const auto more_tracks = gen::staggered_segmentation(7, 32, 8);
+  const auto wider = gen::staggered_segmentation(6, 33, 8);
+  const auto other_cuts = gen::staggered_segmentation(6, 32, 7);
+  EXPECT_NE(idx.fingerprint(), ChannelIndex(more_tracks).fingerprint());
+  EXPECT_NE(idx.fingerprint(), ChannelIndex(wider).fingerprint());
+  EXPECT_NE(idx.fingerprint(), ChannelIndex(other_cuts).fingerprint());
 }
+
+// The index borrows its channel, so building one from a temporary (which
+// would dangle at the end of the full-expression) must not compile.
+static_assert(!std::is_constructible_v<ChannelIndex, SegmentedChannel&&>);
 
 TEST(ChannelIndex, FaultMaterializedChannelGetsDistinctFingerprint) {
   const auto ch = gen::staggered_segmentation(6, 32, 8);
@@ -165,10 +170,9 @@ TEST(Scratch, SteadyStateHoldsNoNewMemoryAndCountsRebinds) {
   const auto route_all = [&] {
     alg::DpOptions o;
     o.weight = weights::occupied_length();
-    o.index = &ia;
     o.workspace = &scratch.dp();
     for (const auto& cs : sets) {
-      const auto r = alg::dp_route(a, cs, o);
+      const auto r = alg::dp_route(ia, cs, o);
       ASSERT_TRUE(r.success);
     }
     (void)scratch.occupancy_for(ia);
@@ -235,10 +239,11 @@ TEST(BatchRouter, CacheHitReturnsBitIdenticalResult) {
   EXPECT_EQ(s.hits, 1u);
   EXPECT_EQ(s.size, 1u);
 
-  // And both match the direct, index-free path bit for bit.
+  // And both match a direct dp_route call bit for bit.
   alg::DpOptions direct;
   direct.weight = weights::occupied_length();
-  EXPECT_TRUE(same_result(first, alg::dp_route(ch, cs, direct)));
+  const ChannelIndex idx(ch);
+  EXPECT_TRUE(same_result(first, alg::dp_route(idx, cs, direct)));
 }
 
 TEST(BatchRouter, PerturbedOptionsAndInstancesMiss) {
@@ -352,7 +357,10 @@ TEST(BatchRouter, RouteManyIsBitIdenticalAcrossThreadCountsAndCacheModes) {
   std::vector<alg::RouteResult> reference;
   alg::DpOptions direct;
   direct.weight = weights::occupied_length();
-  for (const auto& cs : batch) reference.push_back(alg::dp_route(ch, cs, direct));
+  const ChannelIndex idx(ch);
+  for (const auto& cs : batch) {
+    reference.push_back(alg::dp_route(idx, cs, direct));
+  }
 
   for (const bool use_cache : {false, true}) {
     for (const int threads : {1, 2, 8}) {
@@ -372,6 +380,7 @@ TEST(BatchRouter, RouteManyIsBitIdenticalAcrossThreadCountsAndCacheModes) {
 
 TEST(BatchRouter, RouteManyMatchesDirectOnInfeasibleAndMixedBatches) {
   const auto ch = gen::fixtures::fig3_channel();
+  const ChannelIndex idx(ch);
   std::mt19937_64 rng(82);
   std::vector<ConnectionSet> batch;
   for (int i = 0; i < 12; ++i) {
@@ -382,7 +391,7 @@ TEST(BatchRouter, RouteManyMatchesDirectOnInfeasibleAndMixedBatches) {
   const auto results = router.route_many(batch);
   int yes = 0, no = 0;
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto direct = alg::dp_route_unlimited(ch, batch[i]);
+    const auto direct = alg::dp_route(idx, batch[i]);
     EXPECT_TRUE(same_result(results[i], direct)) << "i=" << i;
     (results[i].success ? yes : no)++;
   }
@@ -409,8 +418,8 @@ TEST(BatchRouter, RebindRoutesOnTheNewSubstrate) {
   const std::uint64_t deg_fp = router.index().fingerprint();
   EXPECT_NE(deg_fp, base_fp);
   const auto on_degraded = router.route(cs);
-  EXPECT_TRUE(
-      same_result(on_degraded, alg::dp_route_unlimited(degraded->channel, cs)));
+  const ChannelIndex degraded_idx(degraded->channel);
+  EXPECT_TRUE(same_result(on_degraded, alg::dp_route(degraded_idx, cs)));
 
   // Rebinding back serves the base entry from the memo cache: the cache
   // key carries the substrate fingerprint, so the degraded result can

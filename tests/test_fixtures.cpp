@@ -26,19 +26,20 @@ TEST(Fixtures, Fig2OneSegmentChannelRoutesEveryNetInOneSegment) {
   const auto ch = fig2_channel_1segment();
   const auto cs = fig2_connections();
   EXPECT_EQ(ch.num_tracks(), cs.density());
-  const auto r = alg::greedy1_route(ch, cs);
+  const auto r = alg::greedy1_route(ChannelIndex(ch), cs);
   ASSERT_TRUE(r.success) << r.note;
   EXPECT_TRUE(validate(ch, cs, r.routing, 1));
 }
 
 TEST(Fixtures, Fig2TwoSegmentChannelRoutesWithKTwoButNotKOne) {
   const auto ch = fig2_channel_2segment();
+  const ChannelIndex idx(ch);
   const auto cs = fig2_connections();
   EXPECT_TRUE(ch.identically_segmented());
-  EXPECT_TRUE(alg::dp_route_ksegment(ch, cs, 2).success);
-  EXPECT_FALSE(alg::dp_route_ksegment(ch, cs, 1).success);
+  EXPECT_TRUE(alg::dp_route(idx, cs, {.max_segments = 2}).success);
+  EXPECT_FALSE(alg::dp_route(idx, cs, {.max_segments = 1}).success);
   // Being identically segmented, the left-edge special case applies too.
-  EXPECT_TRUE(alg::left_edge_route(ch, cs, 2).success);
+  EXPECT_TRUE(alg::left_edge_route(idx, cs, 2).success);
 }
 
 TEST(Fixtures, Fig3SegmentInventoryMatchesThePaper) {
@@ -66,18 +67,20 @@ TEST(Fixtures, Fig3ProseConstraintOnC3) {
 }
 
 TEST(Fixtures, Fig3IsOneSegmentRoutable) {
-  const auto r = alg::greedy1_route(fig3_channel(), fig3_connections());
+  const auto ch = fig3_channel();
+  const auto r = alg::greedy1_route(ChannelIndex(ch), fig3_connections());
   EXPECT_TRUE(r.success);
 }
 
 TEST(Fixtures, Fig4StandardInfeasibleGeneralizedFeasible) {
   const auto ch = fig4_channel();
+  const ChannelIndex idx(ch);
   const auto cs = fig4_connections();
   EXPECT_EQ(ch.num_tracks(), 3);
   EXPECT_EQ(cs.size(), 7);
   EXPECT_LE(cs.density(), ch.num_tracks());  // not a trivial capacity fail
-  EXPECT_FALSE(alg::dp_route_unlimited(ch, cs).success);
-  const auto g = alg::generalized_dp_route(ch, cs);
+  EXPECT_FALSE(alg::dp_route(idx, cs).success);
+  const auto g = alg::generalized_dp_route(idx, cs);
   ASSERT_TRUE(g.success);
   EXPECT_TRUE(validate(ch, cs, g.routing));
 }

@@ -28,9 +28,10 @@ SegmentedChannel random_channel(TrackId T, Column width, int max_cuts,
 
 TEST(GeneralizedDp, Fig4NeedsGeneralizedRouting) {
   const auto ch = gen::fixtures::fig4_channel();
+  const ChannelIndex idx(ch);
   const auto cs = gen::fixtures::fig4_connections();
-  EXPECT_FALSE(dp_route_unlimited(ch, cs).success);
-  const auto g = generalized_dp_route(ch, cs);
+  EXPECT_FALSE(dp_route(idx, cs).success);
+  const auto g = generalized_dp_route(idx, cs);
   ASSERT_TRUE(g.success) << g.note;
   EXPECT_TRUE(validate(ch, cs, g.routing));
   // Some connection must actually change tracks, else the routing would
@@ -48,10 +49,11 @@ TEST(GeneralizedDp, SubsumesStandardRouting) {
   int std_yes = 0;
   for (int iter = 0; iter < 60; ++iter) {
     const auto ch = random_channel(3, 12, 3, rng);
+    const ChannelIndex idx(ch);
     const auto cs = gen::geometric_workload(
         2 + static_cast<int>(rng() % 4), 12, 3.5, rng);
-    const bool std_ok = dp_route_unlimited(ch, cs).success;
-    const auto g = generalized_dp_route(ch, cs);
+    const bool std_ok = dp_route(idx, cs).success;
+    const auto g = generalized_dp_route(idx, cs);
     if (std_ok) {
       ++std_yes;
       EXPECT_TRUE(g.success) << "iter " << iter;
@@ -72,10 +74,11 @@ TEST(GeneralizedDp, NoSwitchColumnsReducesToStandardFeasibility) {
   int agree_yes = 0, agree_no = 0;
   for (int iter = 0; iter < 60; ++iter) {
     const auto ch = random_channel(3, 10, 3, rng);
+    const ChannelIndex idx(ch);
     const auto cs = gen::geometric_workload(
         2 + static_cast<int>(rng() % 4), 10, 3.0, rng);
-    const bool std_ok = dp_route_unlimited(ch, cs).success;
-    const auto g = generalized_dp_route(ch, cs, opts);
+    const bool std_ok = dp_route(idx, cs).success;
+    const auto g = generalized_dp_route(idx, cs, opts);
     ASSERT_EQ(std_ok, g.success) << "iter " << iter;
     (std_ok ? agree_yes : agree_no)++;
     if (g.success) {
@@ -90,19 +93,20 @@ TEST(GeneralizedDp, NoSwitchColumnsReducesToStandardFeasibility) {
 
 TEST(GeneralizedDp, AllowedSwitchColumnsAreRespected) {
   const auto ch = gen::fixtures::fig4_channel();
+  const ChannelIndex idx(ch);
   const auto cs = gen::fixtures::fig4_connections();
   // Allow switching everywhere: must succeed (same as unconstrained).
   GeneralizedDpOptions all;
   std::vector<Column> every;
   for (Column c = 1; c <= ch.width(); ++c) every.push_back(c);
   all.allowed_switch_columns = every;
-  const auto g = generalized_dp_route(ch, cs, all);
+  const auto g = generalized_dp_route(idx, cs, all);
   ASSERT_TRUE(g.success);
   // Restrict to a single column: every observed change must use it.
   for (Column allowed = 2; allowed <= ch.width(); ++allowed) {
     GeneralizedDpOptions one;
     one.allowed_switch_columns = std::vector<Column>{allowed};
-    const auto r = generalized_dp_route(ch, cs, one);
+    const auto r = generalized_dp_route(idx, cs, one);
     if (!r.success) continue;
     for (ConnId i = 0; i < cs.size(); ++i) {
       const auto& parts = r.routing.parts(i);
@@ -125,7 +129,7 @@ TEST(GeneralizedDp, SwitchOverlapVariantProducesJumperFriendlyRoutings) {
     const auto ch = random_channel(3, 10, 3, rng);
     const auto cs = gen::geometric_workload(
         2 + static_cast<int>(rng() % 4), 10, 3.0, rng);
-    const auto r = generalized_dp_route(ch, cs, opts);
+    const auto r = generalized_dp_route(ChannelIndex(ch), cs, opts);
     if (!r.success) continue;
     EXPECT_TRUE(validate(ch, cs, r.routing)) << "iter " << iter;
     for (ConnId i = 0; i < cs.size(); ++i) {
@@ -147,11 +151,12 @@ TEST(GeneralizedDp, OverlapVariantIsBetweenStandardAndUnconstrained) {
   overlap.switch_requires_overlap = true;
   for (int iter = 0; iter < 50; ++iter) {
     const auto ch = random_channel(3, 10, 3, rng);
+    const ChannelIndex idx(ch);
     const auto cs = gen::geometric_workload(
         2 + static_cast<int>(rng() % 4), 10, 3.0, rng);
-    const bool std_ok = dp_route_unlimited(ch, cs).success;
-    const bool ov_ok = generalized_dp_route(ch, cs, overlap).success;
-    const bool gen_ok = generalized_dp_route(ch, cs).success;
+    const bool std_ok = dp_route(idx, cs).success;
+    const bool ov_ok = generalized_dp_route(idx, cs, overlap).success;
+    const bool gen_ok = generalized_dp_route(idx, cs).success;
     if (std_ok) {
       EXPECT_TRUE(ov_ok) << "iter " << iter;
     }
@@ -163,15 +168,16 @@ TEST(GeneralizedDp, OverlapVariantIsBetweenStandardAndUnconstrained) {
 
 TEST(GeneralizedDp, EmptyAndDegenerateInputs) {
   const auto ch = SegmentedChannel::identical(2, 5, {2});
-  EXPECT_TRUE(generalized_dp_route(ch, ConnectionSet{}).success);
+  const ChannelIndex idx(ch);
+  EXPECT_TRUE(generalized_dp_route(idx, ConnectionSet{}).success);
   ConnectionSet one;
   one.add(1, 1);
-  const auto r = generalized_dp_route(ch, one);
+  const auto r = generalized_dp_route(idx, one);
   ASSERT_TRUE(r.success);
   EXPECT_TRUE(validate(ch, one, r.routing));
   ConnectionSet big;
   big.add(1, 9);
-  EXPECT_FALSE(generalized_dp_route(ch, big).success);
+  EXPECT_FALSE(generalized_dp_route(idx, big).success);
 }
 
 TEST(GeneralizedDp, InfeasibleWhenDensityExceedsTracks) {
@@ -180,7 +186,7 @@ TEST(GeneralizedDp, InfeasibleWhenDensityExceedsTracks) {
   cs.add(2, 4);
   cs.add(2, 4);
   cs.add(2, 4);
-  const auto r = generalized_dp_route(ch, cs);
+  const auto r = generalized_dp_route(ChannelIndex(ch), cs);
   EXPECT_FALSE(r.success);
   EXPECT_FALSE(r.note.empty());
 }
@@ -188,7 +194,7 @@ TEST(GeneralizedDp, InfeasibleWhenDensityExceedsTracks) {
 TEST(GeneralizedDp, PartsAreNormalizedMaximalRuns) {
   const auto ch = gen::fixtures::fig4_channel();
   const auto cs = gen::fixtures::fig4_connections();
-  const auto g = generalized_dp_route(ch, cs);
+  const auto g = generalized_dp_route(ChannelIndex(ch), cs);
   ASSERT_TRUE(g.success);
   for (ConnId i = 0; i < cs.size(); ++i) {
     const auto& parts = g.routing.parts(i);

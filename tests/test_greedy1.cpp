@@ -17,7 +17,7 @@ TEST(Greedy1, RoutesTheFig3Example) {
   const auto ch = gen::fixtures::fig3_channel();
   const auto cs = gen::fixtures::fig3_connections();
   Greedy1Trace trace;
-  const auto r = greedy1_route_traced(ch, cs, &trace);
+  const auto r = greedy1_route_traced(ChannelIndex(ch), cs, &trace);
   ASSERT_TRUE(r.success) << r.note;
   EXPECT_TRUE(validate(ch, cs, r.routing, 1));
   // Frozen expected assignment of the reconstructed Fig. 3 instance:
@@ -39,7 +39,7 @@ TEST(Greedy1, EveryProducedRoutingIsOneSegment) {
   for (int iter = 0; iter < 40; ++iter) {
     const auto ch = gen::staggered_segmentation(5, 24, 6);
     const auto cs = gen::geometric_workload(8, 24, 4.0, rng);
-    const auto r = greedy1_route(ch, cs);
+    const auto r = greedy1_route(ChannelIndex(ch), cs);
     if (r.success) {
       EXPECT_TRUE(validate(ch, cs, r.routing, 1)) << "iter " << iter;
     }
@@ -56,10 +56,11 @@ TEST(Greedy1, Theorem3ExactnessAgainstMatchingOracle) {
     const auto ch = SegmentedChannel(
         {Track(width, {5, 11}), Track(width, {8, 14}), Track(width, {3, 9, 15}),
          Track(width, {6, 12})});
+    const ChannelIndex idx(ch);
     const auto cs = gen::geometric_workload(
         4 + static_cast<int>(rng() % 8), width, 4.0, rng);
-    const bool greedy_ok = greedy1_route(ch, cs).success;
-    const bool oracle_ok = match1_route(ch, cs).success;
+    const bool greedy_ok = greedy1_route(idx, cs).success;
+    const bool oracle_ok = match1_route(idx, cs).success;
     EXPECT_EQ(greedy_ok, oracle_ok) << "iter " << iter;
     (greedy_ok ? successes : failures)++;
   }
@@ -72,10 +73,11 @@ TEST(Greedy1, TieBreakDoesNotAffectSuccess) {
   std::mt19937_64 rng(33);
   for (int iter = 0; iter < 80; ++iter) {
     const auto ch = gen::uniform_segmentation(4, 20, 5);
+    const ChannelIndex idx(ch);
     const auto cs = gen::geometric_workload(
         3 + static_cast<int>(rng() % 7), 20, 4.0, rng);
-    EXPECT_EQ(greedy1_route(ch, cs, TieBreak::LowestTrack).success,
-              greedy1_route(ch, cs, TieBreak::HighestTrack).success)
+    EXPECT_EQ(greedy1_route(idx, cs, TieBreak::LowestTrack).success,
+              greedy1_route(idx, cs, TieBreak::HighestTrack).success)
         << "iter " << iter;
   }
 }
@@ -85,7 +87,7 @@ TEST(Greedy1, ChoosesSegmentWithSmallestRightEnd) {
   const auto ch = SegmentedChannel({Track(9, {6}), Track(9, {4})});
   ConnectionSet cs;
   cs.add(1, 3, "c");
-  const auto r = greedy1_route(ch, cs);
+  const auto r = greedy1_route(ChannelIndex(ch), cs);
   ASSERT_TRUE(r.success);
   EXPECT_EQ(r.routing.track_of(0), 1);  // (1,4) ends before (1,6)
 }
@@ -94,7 +96,7 @@ TEST(Greedy1, FailsWhenOnlyMultiSegmentAssignmentsExist) {
   const auto ch = SegmentedChannel::fully_segmented(3, 6);
   ConnectionSet cs;
   cs.add(2, 3);  // always two unit segments
-  const auto r = greedy1_route(ch, cs);
+  const auto r = greedy1_route(ChannelIndex(ch), cs);
   EXPECT_FALSE(r.success);
   EXPECT_FALSE(r.note.empty());
 }
@@ -104,15 +106,16 @@ TEST(Greedy1, FailsWhenSegmentsAreOccupied) {
   ConnectionSet cs;
   cs.add(1, 2);
   cs.add(3, 4);  // same segment as the first
-  EXPECT_FALSE(greedy1_route(ch, cs).success);
+  EXPECT_FALSE(greedy1_route(ChannelIndex(ch), cs).success);
 }
 
 TEST(Greedy1, EmptySetAndOversizedConnections) {
   const auto ch = SegmentedChannel::identical(1, 5, {});
-  EXPECT_TRUE(greedy1_route(ch, ConnectionSet{}).success);
+  const ChannelIndex idx(ch);
+  EXPECT_TRUE(greedy1_route(idx, ConnectionSet{}).success);
   ConnectionSet big;
   big.add(1, 7);
-  EXPECT_FALSE(greedy1_route(ch, big).success);
+  EXPECT_FALSE(greedy1_route(idx, big).success);
 }
 
 }  // namespace

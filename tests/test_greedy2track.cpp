@@ -72,7 +72,7 @@ TEST(Greedy2Track, Theorem4ExactnessAgainstDp) {
     const auto cs = gen::geometric_workload(
         2 + static_cast<int>(rng() % (2 * T)), width, 5.0, rng);
     const bool greedy_ok = greedy2track_route(ch, cs).success;
-    const bool oracle_ok = dp_route_unlimited(ch, cs).success;
+    const bool oracle_ok = dp_route(ChannelIndex(ch), cs).success;
     EXPECT_EQ(greedy_ok, oracle_ok) << "iter " << iter;
     (greedy_ok ? successes : failures)++;
   }

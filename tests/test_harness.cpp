@@ -94,7 +94,7 @@ struct VerifierFixture {
 
 TEST(RouteVerifier, AcceptsEveryExactRouting) {
   VerifierFixture f;
-  const auto r = alg::dp_route_unlimited(f.ch, f.cs);
+  const auto r = alg::dp_route(ChannelIndex(f.ch), f.cs);
   ASSERT_TRUE(r.success);
   const RouteVerifier v(f.ch, f.cs);
   const auto ok = v.check(r);
@@ -146,7 +146,8 @@ TEST(RouteVerifier, CatchesSegmentLimitViolation) {
 
 TEST(RouteVerifier, CatchesMisreportedWeight) {
   VerifierFixture f;
-  auto r = alg::dp_route_optimal(f.ch, f.cs, weights::occupied_length());
+  auto r = alg::dp_route(ChannelIndex(f.ch), f.cs,
+                         {.weight = weights::occupied_length()});
   ASSERT_TRUE(r.success);
   const RouteVerifier v(f.ch, f.cs);
   VerifyOptions vo;
@@ -400,8 +401,8 @@ TEST(RobustRoute, OptimizingModeMatchesTheExactOptimum) {
   o.weight = weights::occupied_length();
   const auto rep = robust_route(ch, cs, o);
   ASSERT_TRUE(rep.success);
-  const auto exact =
-      alg::dp_route_optimal(ch, cs, weights::occupied_length());
+  const auto exact = alg::dp_route(ChannelIndex(ch), cs,
+                                   {.weight = weights::occupied_length()});
   ASSERT_TRUE(exact.success);
   EXPECT_NEAR(rep.weight, exact.weight, 1e-9);
 }
@@ -513,6 +514,7 @@ TEST(RobustRoute, CancellationShortCircuitsEveryStage) {
 // independent verifier (and in optimizing mode, reports its true weight).
 TEST(VerificationProperty, SuiteResultsAllPassIndependentVerification) {
   for (const auto& inst : gen::standard_suite()) {
+    const ChannelIndex idx(inst.channel);
     const RouteVerifier v(inst.channel, inst.connections);
     const auto check_ok = [&](const alg::RouteResult& r, const char* who,
                               VerifyOptions vo = {}) {
@@ -520,13 +522,12 @@ TEST(VerificationProperty, SuiteResultsAllPassIndependentVerification) {
       const auto res = v.check(r, vo);
       EXPECT_TRUE(res) << inst.name << " / " << who << ": " << res.detail;
     };
-    check_ok(alg::dp_route_unlimited(inst.channel, inst.connections), "dp");
-    check_ok(alg::greedy1_route(inst.channel, inst.connections), "greedy1");
+    check_ok(alg::dp_route(idx, inst.connections), "dp");
+    check_ok(alg::greedy1_route(idx, inst.connections), "greedy1");
     check_ok(alg::lp_route(inst.channel, inst.connections), "lp");
     VerifyOptions wo;
     wo.weight = weights::occupied_length();
-    check_ok(alg::dp_route_optimal(inst.channel, inst.connections,
-                                   weights::occupied_length()),
+    check_ok(alg::dp_route(idx, inst.connections, {.weight = wo.weight}),
              "dp-optimal", wo);
   }
 }

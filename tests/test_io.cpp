@@ -80,7 +80,7 @@ TEST(Render, ChannelShowsSwitchesBetweenSegments) {
 TEST(Render, RoutedChannelLabelsOccupiedSegments) {
   const auto ch = gen::fixtures::fig3_channel();
   const auto cs = gen::fixtures::fig3_connections();
-  const auto r = alg::dp_route_unlimited(ch, cs);
+  const auto r = alg::dp_route(ChannelIndex(ch), cs);
   ASSERT_TRUE(r.success);
   const auto art = render(ch, cs, r.routing);
   // Every connection label must appear somewhere.

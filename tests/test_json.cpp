@@ -48,7 +48,7 @@ TEST(Json, GeneralizedRoutingEmitsParts) {
 TEST(Json, RouteResultRoundTripsThroughTheFig3Example) {
   const auto ch = gen::fixtures::fig3_channel();
   const auto cs = gen::fixtures::fig3_connections();
-  const auto r = alg::dp_route_unlimited(ch, cs);
+  const auto r = alg::dp_route(ChannelIndex(ch), cs);
   const auto json = to_json(r);
   EXPECT_NE(json.find("\"success\": true"), std::string::npos);
   EXPECT_NE(json.find("\"assignments\": ["), std::string::npos);
@@ -69,7 +69,7 @@ TEST(Json, UtilizationStats) {
 TEST(Json, OutputsAreDeterministic) {
   const auto ch = gen::fixtures::fig4_channel();
   const auto cs = gen::fixtures::fig4_connections();
-  const auto g = alg::generalized_dp_route(ch, cs);
+  const auto g = alg::generalized_dp_route(ChannelIndex(ch), cs);
   ASSERT_TRUE(g.success);
   EXPECT_EQ(to_json(g.routing), to_json(g.routing));
 }

@@ -48,17 +48,18 @@ TEST(LeftEdgeIdentical, RoutesWhenSegmentsAlign) {
   cs.add(4, 6);
   cs.add(2, 5);  // crosses the switch: needs two segments on some track
   cs.add(7, 9);
-  const auto r = left_edge_route(ch, cs);
+  const auto r = left_edge_route(ChannelIndex(ch), cs);
   ASSERT_TRUE(r.success) << r.note;
   EXPECT_TRUE(validate(ch, cs, r.routing));
 }
 
 TEST(LeftEdgeIdentical, HonorsSegmentLimit) {
   const auto ch = SegmentedChannel::identical(2, 9, {3, 6});
+  const ChannelIndex idx(ch);
   ConnectionSet cs;
   cs.add(2, 8);  // 3 segments everywhere
-  EXPECT_TRUE(left_edge_route(ch, cs).success);
-  const auto r = left_edge_route(ch, cs, 2);
+  EXPECT_TRUE(left_edge_route(idx, cs).success);
+  const auto r = left_edge_route(idx, cs, 2);
   EXPECT_FALSE(r.success);
 }
 
@@ -68,7 +69,7 @@ TEST(LeftEdgeIdentical, FailsWhenTracksExhausted) {
   cs.add(1, 2);
   cs.add(2, 3);
   cs.add(3, 3);  // three nets in one segment's columns, two tracks
-  const auto r = left_edge_route(ch, cs);
+  const auto r = left_edge_route(ChannelIndex(ch), cs);
   EXPECT_FALSE(r.success);
   EXPECT_FALSE(r.note.empty());
 }
@@ -77,7 +78,7 @@ TEST(LeftEdgeIdentical, NonIdenticalChannelIsInvalidInput) {
   const auto ch = SegmentedChannel({Track(9, {3}), Track(9, {4})});
   ConnectionSet cs;
   cs.add(1, 2);
-  const auto r = left_edge_route(ch, cs);
+  const auto r = left_edge_route(ChannelIndex(ch), cs);
   EXPECT_FALSE(r.success);
   EXPECT_EQ(r.failure, FailureKind::kInvalidInput);
   EXPECT_FALSE(r.note.empty());
@@ -93,7 +94,7 @@ TEST(LeftEdgeIdentical, ExtendedDensityIsAValidUpperBound) {
     auto cs = gen::geometric_workload(10, width, 4.0, rng);
     const int bound = cs.extended_density(one);
     const auto ch = SegmentedChannel::identical(bound, width, {6, 12, 18});
-    const auto r = left_edge_route(ch, cs);
+    const auto r = left_edge_route(ChannelIndex(ch), cs);
     EXPECT_TRUE(r.success) << "iter " << iter << ": " << r.note;
     if (r.success) {
       EXPECT_TRUE(validate(ch, cs, r.routing));
@@ -110,19 +111,19 @@ TEST(LeftEdgeIdentical, PlainDensityIsNotAlwaysEnough) {
   cs.add(1, 2);
   cs.add(4, 5);
   EXPECT_EQ(cs.density(), 1);
-  EXPECT_FALSE(left_edge_route(ch, cs).success);
+  EXPECT_FALSE(left_edge_route(ChannelIndex(ch), cs).success);
 }
 
 TEST(LeftEdgeIdentical, EmptyConnectionSetSucceeds) {
   const auto ch = SegmentedChannel::identical(1, 5, {});
-  EXPECT_TRUE(left_edge_route(ch, ConnectionSet{}).success);
+  EXPECT_TRUE(left_edge_route(ChannelIndex(ch), ConnectionSet{}).success);
 }
 
 TEST(LeftEdgeIdentical, RejectsOversizedConnections) {
   const auto ch = SegmentedChannel::identical(1, 5, {});
   ConnectionSet cs;
   cs.add(1, 9);
-  EXPECT_FALSE(left_edge_route(ch, cs).success);
+  EXPECT_FALSE(left_edge_route(ChannelIndex(ch), cs).success);
 }
 
 }  // namespace

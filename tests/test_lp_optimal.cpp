@@ -17,7 +17,7 @@ TEST(LpOptimal, MatchesTheDpOptimumOnFig3) {
   const auto cs = gen::fixtures::fig3_connections();
   const auto w = weights::occupied_length();
   const auto lp = lp_route_optimal(ch, cs, w);
-  const auto dp = dp_route_optimal(ch, cs, w);
+  const auto dp = dp_route(ChannelIndex(ch), cs, {.weight = w});
   ASSERT_TRUE(lp.success) << lp.note;
   ASSERT_TRUE(dp.success);
   EXPECT_TRUE(validate(ch, cs, lp.routing));
@@ -32,7 +32,7 @@ TEST(LpOptimal, IntegralRelaxationsHitTheExactOptimum) {
     const auto ch = gen::staggered_segmentation(4, 20, 5);
     const auto cs = gen::geometric_workload(
         3 + static_cast<int>(rng() % 5), 20, 4.0, rng);
-    const auto dp = dp_route_optimal(ch, cs, w);
+    const auto dp = dp_route(ChannelIndex(ch), cs, {.weight = w});
     if (!dp.success) continue;
     LpRouteOptions o;
     o.max_rounding_passes = 0;  // pure relaxation only

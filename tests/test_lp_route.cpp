@@ -29,7 +29,7 @@ TEST(LpRoute, AgreesWithDpOnRandomInstances) {
     const auto ch = gen::staggered_segmentation(4, 20, 5);
     const auto cs = gen::geometric_workload(
         3 + static_cast<int>(rng() % 6), 20, 4.0, rng);
-    const bool dp_ok = dp_route_unlimited(ch, cs).success;
+    const bool dp_ok = dp_route(ChannelIndex(ch), cs).success;
     const auto lp = lp_route(ch, cs);
     if (lp.success) {
       EXPECT_TRUE(dp_ok) << "iter " << iter;  // LP can never invent routings
@@ -52,6 +52,7 @@ TEST(LpRoute, KSegmentVariantDropsForbiddenVariables) {
   std::mt19937_64 rng(82);
   for (int iter = 0; iter < 30; ++iter) {
     const auto ch = gen::uniform_segmentation(4, 20, 4);
+    const ChannelIndex idx(ch);
     const auto cs = gen::geometric_workload(
         2 + static_cast<int>(rng() % 5), 20, 3.5, rng);
     LpRouteOptions o;
@@ -60,7 +61,8 @@ TEST(LpRoute, KSegmentVariantDropsForbiddenVariables) {
     if (r.success) {
       EXPECT_TRUE(validate(ch, cs, r.routing, 1)) << "iter " << iter;
     } else {
-      EXPECT_FALSE(dp_route_ksegment(ch, cs, 1).success) << "iter " << iter;
+      EXPECT_FALSE(dp_route(idx, cs, {.max_segments = 1}).success)
+          << "iter " << iter;
     }
   }
 }

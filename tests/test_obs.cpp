@@ -360,6 +360,7 @@ bool same_result(const alg::RouteResult& a, const alg::RouteResult& b) {
 
 TEST(ObsRouting, ResultsAreBitIdenticalWithAndWithoutActiveSession) {
   const auto ch = gen::staggered_segmentation(6, 32, 8);
+  const ChannelIndex idx(ch);
   std::mt19937_64 rng(4242);
   std::vector<ConnectionSet> sets;
   for (int i = 0; i < 4; ++i) {
@@ -369,9 +370,9 @@ TEST(ObsRouting, ResultsAreBitIdenticalWithAndWithoutActiveSession) {
   const auto route_all = [&] {
     std::vector<alg::RouteResult> out;
     for (const auto& cs : sets) {
-      out.push_back(alg::dp_route_unlimited(ch, cs));
+      out.push_back(alg::dp_route(idx, cs));
       out.push_back(
-          alg::dp_route_optimal(ch, cs, weights::occupied_length()));
+          alg::dp_route(idx, cs, {.weight = weights::occupied_length()}));
     }
     engine::BatchRouter router(ch);
     for (const auto& cs : sets) out.push_back(router.route(cs));
@@ -399,7 +400,7 @@ TEST(ObsRouting, InstrumentationFollowsBuildMode) {
 
   const std::uint64_t before =
       Registry::instance().counter("dp.routes").value();
-  const auto res = alg::dp_route_unlimited(ch, cs);
+  const auto res = alg::dp_route(ChannelIndex(ch), cs);
   ASSERT_TRUE(res.success);
   const std::uint64_t after =
       Registry::instance().counter("dp.routes").value();

@@ -235,6 +235,7 @@ TEST(OnlineRouter, OnlineNeverBeatsTheBatchOracle) {
   std::mt19937_64 rng(162);
   for (int iter = 0; iter < 30; ++iter) {
     const auto ch = gen::staggered_segmentation(3, 20, 5);
+    const ChannelIndex idx(ch);
     const auto cs = gen::geometric_workload(6, 20, 4.0, rng);
     OnlineRouter r(ch);
     bool all = true;
@@ -242,7 +243,7 @@ TEST(OnlineRouter, OnlineNeverBeatsTheBatchOracle) {
       if (!r.insert(c.left, c.right)) all = false;
     }
     if (all) {
-      EXPECT_TRUE(dp_route_unlimited(ch, cs).success) << "iter " << iter;
+      EXPECT_TRUE(dp_route(idx, cs).success) << "iter " << iter;
     }
   }
 }

@@ -54,7 +54,7 @@ TEST_P(RouterProperties, DpAgreesWithExhaustiveAndProducesValidRoutings) {
   std::mt19937_64 rng(p.seed);
   const auto ch = make_channel(p, rng);
   const auto cs = gen::geometric_workload(p.connections, p.width, p.mean_len, rng);
-  const auto d = dp_route_unlimited(ch, cs);
+  const auto d = dp_route(ChannelIndex(ch), cs);
   const auto e = exhaustive_route(ch, cs);
   ASSERT_EQ(d.success, e.success);
   if (d.success) {
@@ -66,9 +66,10 @@ TEST_P(RouterProperties, Greedy1IsExactForOneSegmentRouting) {
   const auto p = GetParam();
   std::mt19937_64 rng(p.seed ^ 0x9e3779b97f4a7c15ull);
   const auto ch = make_channel(p, rng);
+  const ChannelIndex idx(ch);
   const auto cs = gen::geometric_workload(p.connections, p.width, p.mean_len, rng);
-  const bool greedy_ok = greedy1_route(ch, cs).success;
-  const bool oracle_ok = match1_route(ch, cs).success;
+  const bool greedy_ok = greedy1_route(idx, cs).success;
+  const bool oracle_ok = match1_route(idx, cs).success;
   EXPECT_EQ(greedy_ok, oracle_ok);
   ExhaustiveOptions eo;
   eo.max_segments = 1;
@@ -81,7 +82,7 @@ TEST_P(RouterProperties, LpHeuristicNeverContradictsTheOracle) {
   const auto ch = make_channel(p, rng);
   const auto cs = gen::geometric_workload(p.connections, p.width, p.mean_len, rng);
   const auto lp = lp_route(ch, cs);
-  const bool oracle_ok = dp_route_unlimited(ch, cs).success;
+  const bool oracle_ok = dp_route(ChannelIndex(ch), cs).success;
   if (lp.success) {
     EXPECT_TRUE(oracle_ok);
     EXPECT_TRUE(validate(ch, cs, lp.routing));
@@ -97,10 +98,11 @@ TEST_P(RouterProperties, GeneralizedRoutingSubsumesStandard) {
   small.width = std::min<Column>(p.width, 12);
   small.connections = std::min(p.connections, 5);
   const auto ch = make_channel(small, rng);
+  const ChannelIndex idx(ch);
   const auto cs =
       gen::geometric_workload(small.connections, small.width, 3.0, rng);
-  const bool std_ok = dp_route_unlimited(ch, cs).success;
-  const auto g = generalized_dp_route(ch, cs);
+  const bool std_ok = dp_route(idx, cs).success;
+  const auto g = generalized_dp_route(idx, cs);
   if (std_ok) {
     EXPECT_TRUE(g.success);
   }
@@ -118,7 +120,7 @@ TEST_P(RouterProperties, OptimalRoutersAgreeOnMinimumWeight) {
   const auto cs =
       gen::geometric_workload(small.connections, small.width, p.mean_len, rng);
   const auto w = weights::occupied_length();
-  const auto d = dp_route_optimal(ch, cs, w);
+  const auto d = dp_route(ChannelIndex(ch), cs, {.weight = w});
   ExhaustiveOptions eo;
   eo.weight = w;
   const auto e = exhaustive_route(ch, cs, eo);
@@ -132,15 +134,16 @@ TEST_P(RouterProperties, KSegmentHierarchyIsMonotone) {
   const auto p = GetParam();
   std::mt19937_64 rng(p.seed ^ 0x777ull);
   const auto ch = make_channel(p, rng);
+  const ChannelIndex idx(ch);
   const auto cs = gen::geometric_workload(p.connections, p.width, p.mean_len, rng);
   bool prev = false;
   for (int k = 1; k <= 4; ++k) {
-    const bool ok = dp_route_ksegment(ch, cs, k).success;
+    const bool ok = dp_route(idx, cs, {.max_segments = k}).success;
     EXPECT_TRUE(!prev || ok) << "k=" << k;
     prev = ok;
   }
   if (prev) {
-    EXPECT_TRUE(dp_route_unlimited(ch, cs).success);
+    EXPECT_TRUE(dp_route(idx, cs).success);
   }
 }
 
@@ -148,6 +151,7 @@ TEST_P(RouterProperties, AnnealingNeverFabricatesRoutings) {
   const auto p = GetParam();
   std::mt19937_64 rng(p.seed ^ 0xfeedULL);
   const auto ch = make_channel(p, rng);
+  const ChannelIndex idx(ch);
   const auto cs = gen::geometric_workload(p.connections, p.width, p.mean_len, rng);
   AnnealRouteOptions o;
   o.iterations = 30000;
@@ -155,7 +159,7 @@ TEST_P(RouterProperties, AnnealingNeverFabricatesRoutings) {
   const auto an = anneal_route(ch, cs, o);
   if (an.success) {
     EXPECT_TRUE(validate(ch, cs, an.routing));
-    EXPECT_TRUE(dp_route_unlimited(ch, cs).success);
+    EXPECT_TRUE(dp_route(idx, cs).success);
   }
 }
 
@@ -163,6 +167,7 @@ TEST_P(RouterProperties, OnlineRouterMatchesItsSnapshotInvariant) {
   const auto p = GetParam();
   std::mt19937_64 rng(p.seed ^ 0xca11ULL);
   const auto ch = make_channel(p, rng);
+  const ChannelIndex idx(ch);
   const auto cs = gen::geometric_workload(p.connections, p.width, p.mean_len, rng);
   OnlineRouter router(ch);
   int placed = 0;
@@ -175,7 +180,7 @@ TEST_P(RouterProperties, OnlineRouterMatchesItsSnapshotInvariant) {
   EXPECT_TRUE(validate(ch, scs, sr));
   // Online success on the full set implies the exact router succeeds too.
   if (placed == cs.size()) {
-    EXPECT_TRUE(dp_route_unlimited(ch, cs).success);
+    EXPECT_TRUE(dp_route(idx, cs).success);
   }
 }
 
@@ -184,7 +189,7 @@ TEST_P(RouterProperties, UtilizationInvariantsHoldOnEveryRouting) {
   std::mt19937_64 rng(p.seed ^ 0x57a7ULL);
   const auto ch = make_channel(p, rng);
   const auto cs = gen::geometric_workload(p.connections, p.width, p.mean_len, rng);
-  const auto d = dp_route_unlimited(ch, cs);
+  const auto d = dp_route(ChannelIndex(ch), cs);
   if (!d.success) return;
   const auto st = utilization(ch, cs, d.routing);
   EXPECT_GE(st.occupied_columns, st.demanded_columns);  // overhang >= 1
@@ -198,6 +203,7 @@ TEST_P(RouterProperties, EverySuccessfulRouterPassesIndependentVerification) {
   const auto p = GetParam();
   std::mt19937_64 rng(p.seed ^ 0x5eafULL);
   const auto ch = make_channel(p, rng);
+  const ChannelIndex idx(ch);
   const auto cs = gen::geometric_workload(p.connections, p.width, p.mean_len, rng);
   const harness::RouteVerifier verifier(ch, cs);
   const auto check_ok = [&](const RouteResult& r, const char* who,
@@ -206,17 +212,17 @@ TEST_P(RouterProperties, EverySuccessfulRouterPassesIndependentVerification) {
     const auto res = verifier.check(r, vo);
     EXPECT_TRUE(res) << who << ": " << res.detail;
   };
-  check_ok(dp_route_unlimited(ch, cs), "dp");
-  check_ok(greedy1_route(ch, cs), "greedy1");
-  check_ok(match1_route(ch, cs), "match1");
+  check_ok(dp_route(idx, cs), "dp");
+  check_ok(greedy1_route(idx, cs), "greedy1");
+  check_ok(match1_route(idx, cs), "match1");
   check_ok(lp_route(ch, cs), "lp");
   check_ok(exhaustive_route(ch, cs), "exhaustive");
   harness::VerifyOptions k2;
   k2.max_segments = 2;
-  check_ok(dp_route_ksegment(ch, cs, 2), "dp-k2", k2);
+  check_ok(dp_route(idx, cs, {.max_segments = 2}), "dp-k2", k2);
   harness::VerifyOptions wo;
   wo.weight = weights::occupied_length();
-  check_ok(dp_route_optimal(ch, cs, weights::occupied_length()), "dp-opt", wo);
+  check_ok(dp_route(idx, cs, {.weight = wo.weight}), "dp-opt", wo);
   AnnealRouteOptions ao;
   ao.iterations = 20000;
   ao.seed = p.seed;

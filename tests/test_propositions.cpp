@@ -35,7 +35,7 @@ TEST(Propositions, HoldOnDpRoutingsOfRandomInstances) {
     const int n = 2 + iter % 2;
     const auto inst = random_solvable_nmts(n, rng).normalized();
     const auto q = build_unlimited(inst);
-    const auto dp = alg::dp_route_unlimited(q.channel, q.connections);
+    const auto dp = alg::dp_route(ChannelIndex(q.channel), q.connections);
     ASSERT_TRUE(dp.success) << "iter " << iter;
     EXPECT_TRUE(check_proposition1(q, dp.routing)) << "iter " << iter;
     EXPECT_TRUE(check_proposition3_10(q, inst, dp.routing))
@@ -72,7 +72,8 @@ TEST(Propositions, Proposition12HoldsOnDpRoutingsOfQ2) {
   std::mt19937_64 rng(192);
   const auto inst = random_solvable_nmts(2, rng).normalized();
   const auto q2 = build_two_segment(inst);
-  const auto dp = alg::dp_route_ksegment(q2.channel, q2.connections, 2);
+  const auto dp = alg::dp_route(ChannelIndex(q2.channel), q2.connections,
+                                {.max_segments = 2});
   ASSERT_TRUE(dp.success);
   EXPECT_TRUE(check_proposition12(q2, dp.routing))
       << check_proposition12(q2, dp.routing).violation;

@@ -81,7 +81,7 @@ TEST(Reduction, Lemma1BuildsAValidRouting) {
 TEST(Reduction, Lemma2ExtractsAMatchingFromAnyRouting) {
   const auto inst = gen::fixtures::example1_nmts();
   const auto q = build_unlimited(inst);
-  const auto dp = alg::dp_route_unlimited(q.channel, q.connections);
+  const auto dp = alg::dp_route(ChannelIndex(q.channel), q.connections);
   ASSERT_TRUE(dp.success);
   const auto sol = matching_from_routing(q, inst, dp.routing);
   ASSERT_TRUE(sol.has_value());
@@ -151,7 +151,7 @@ TEST(Reduction, Theorem1EquivalenceOnRandomInstances) {
     const auto inst = raw.normalized();
     const bool nmts_ok = inst.solve().has_value();
     const auto q = build_unlimited(inst);
-    const auto dp = alg::dp_route_unlimited(q.channel, q.connections);
+    const auto dp = alg::dp_route(ChannelIndex(q.channel), q.connections);
     ASSERT_EQ(nmts_ok, dp.success) << "iter " << iter << " n=" << n;
     if (nmts_ok) {
       ++solvable;
@@ -177,8 +177,8 @@ TEST(Reduction, Theorem2EquivalenceOnRandomInstances) {
     const auto inst = raw.normalized();
     const bool nmts_ok = inst.solve().has_value();
     const auto q2 = build_two_segment(inst);
-    const auto dp =
-        alg::dp_route_ksegment(q2.channel, q2.connections, 2);
+    const auto dp = alg::dp_route(ChannelIndex(q2.channel), q2.connections,
+                                  {.max_segments = 2});
     ASSERT_EQ(nmts_ok, dp.success) << "iter " << iter;
     (nmts_ok ? solvable : unsolvable)++;
   }

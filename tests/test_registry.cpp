@@ -182,11 +182,12 @@ TEST(Registry, UniformPreChecksRejectMalformedRequests) {
 TEST(Registry, PropertySweepHonorsCapabilitiesAndVerifies) {
   const auto w = weights::occupied_length();
   for (const Fixture& f : fixtures()) {
+    const ChannelIndex idx(f.channel);
     const harness::RouteVerifier v(f.channel, f.connections);
     const bool oracle =
-        dp_route_unlimited(f.channel, f.connections).success;
+        dp_route(idx, f.connections).success;
     const bool oracle_k1 =
-        dp_route_ksegment(f.channel, f.connections, 1).success;
+        dp_route(idx, f.connections, {.max_segments = 1}).success;
     for (const RouterEntry& e : registry()) {
       const RouteRequest rq = make_request(e, f, w);
       const RouteResult r = route(e, rq);
@@ -249,42 +250,44 @@ TEST(Registry, BitIdenticalToLegacyWrappers) {
   }
 
   for (const Fixture& f : all) {
+    const ChannelIndex idx(f.channel);
     RouteRequest rq;
     rq.channel = &f.channel;
     rq.connections = &f.connections;
 
     EXPECT_TRUE(same(route("dp", rq),
-                     dp_route_unlimited(f.channel, f.connections)))
+                     dp_route(idx, f.connections)))
         << f.name << " / dp";
     EXPECT_TRUE(same(route("greedy1", rq),
-                     greedy1_route(f.channel, f.connections)))
+                     greedy1_route(idx, f.connections)))
         << f.name << " / greedy1";
     EXPECT_TRUE(same(route("match1", rq),
-                     match1_route(f.channel, f.connections)))
+                     match1_route(idx, f.connections)))
         << f.name << " / match1";
     EXPECT_TRUE(same(route("left_edge", rq),
-                     left_edge_route(f.channel, f.connections)))
+                     left_edge_route(idx, f.connections)))
         << f.name << " / left_edge";
 
     RouteRequest k2 = rq;
     k2.options.max_segments = 2;
     EXPECT_TRUE(same(route("dp", k2),
-                     dp_route_ksegment(f.channel, f.connections, 2)))
+                     dp_route(idx, f.connections, {.max_segments = 2})))
         << f.name << " / dp k2";
 
     RouteRequest wd = rq;
     wd.options.weight = w;
     EXPECT_TRUE(same(route("dp", wd),
-                     dp_route_optimal(f.channel, f.connections, w)))
+                     dp_route(idx, f.connections, {.weight = w})))
         << f.name << " / dp weighted";
     EXPECT_TRUE(same(route("match1", wd),
-                     match1_route_optimal(f.channel, f.connections, w)))
+                     match1_route_optimal(idx, f.connections, w)))
         << f.name << " / match1 weighted";
   }
 }
 
 // With a prebuilt index and scratch in the request (the engine's steady
-// state), results still match the context-free path bit for bit.
+// state), results match a bare request, for which the registry builds
+// the index itself, bit for bit.
 TEST(Registry, SharedContextDoesNotChangeResults) {
   for (const Fixture& f : fixtures()) {
     const ChannelIndex index(f.channel);

@@ -93,7 +93,7 @@ TEST(Svg, ChannelRenderingHasTracksAndSwitches) {
 TEST(Svg, RoutedRenderingColorsSegments) {
   const auto ch = gen::fixtures::fig3_channel();
   const auto cs = gen::fixtures::fig3_connections();
-  const auto r = alg::dp_route_unlimited(ch, cs);
+  const auto r = alg::dp_route(ChannelIndex(ch), cs);
   ASSERT_TRUE(r.success);
   const auto without = io::to_svg(ch, cs);
   const auto with = io::to_svg(ch, cs, &r.routing);
@@ -105,7 +105,7 @@ TEST(Svg, RoutedRenderingColorsSegments) {
 TEST(Svg, GeneralizedRenderingCoversParts) {
   const auto ch = gen::fixtures::fig4_channel();
   const auto cs = gen::fixtures::fig4_connections();
-  const auto g = alg::generalized_dp_route(ch, cs);
+  const auto g = alg::generalized_dp_route(ChannelIndex(ch), cs);
   ASSERT_TRUE(g.success);
   const auto svg = io::to_svg(ch, cs, g.routing);
   EXPECT_NE(svg.find("<svg"), std::string::npos);

@@ -25,26 +25,28 @@ TEST(Suite, HasTenDistinctNamedInstances) {
 
 TEST(Suite, RoutabilityPinsMatchTheDpRouter) {
   for (const auto& inst : standard_suite()) {
-    EXPECT_EQ(alg::dp_route_unlimited(inst.channel, inst.connections).success,
-              inst.routable)
+    EXPECT_EQ(
+        alg::dp_route(ChannelIndex(inst.channel), inst.connections).success,
+        inst.routable)
         << inst.name;
   }
 }
 
 TEST(Suite, MinKPinsAreExact) {
   for (const auto& inst : standard_suite()) {
+    const ChannelIndex idx(inst.channel);
     if (!inst.routable) {
       EXPECT_EQ(inst.min_k, 0) << inst.name;
       continue;
     }
     ASSERT_GE(inst.min_k, 1) << inst.name;
     EXPECT_TRUE(
-        alg::dp_route_ksegment(inst.channel, inst.connections, inst.min_k)
+        alg::dp_route(idx, inst.connections, {.max_segments = inst.min_k})
             .success)
         << inst.name;
     if (inst.min_k > 1) {
-      EXPECT_FALSE(alg::dp_route_ksegment(inst.channel, inst.connections,
-                                          inst.min_k - 1)
+      EXPECT_FALSE(alg::dp_route(idx, inst.connections,
+                                 {.max_segments = inst.min_k - 1})
                        .success)
           << inst.name;
     }
@@ -54,8 +56,8 @@ TEST(Suite, MinKPinsAreExact) {
 TEST(Suite, OptimalLengthPinsMatchProblem3) {
   for (const auto& inst : standard_suite()) {
     if (!inst.routable) continue;
-    const auto r = alg::dp_route_optimal(inst.channel, inst.connections,
-                                         weights::occupied_length());
+    const auto r = alg::dp_route(ChannelIndex(inst.channel), inst.connections,
+                                 {.weight = weights::occupied_length()});
     ASSERT_TRUE(r.success) << inst.name;
     EXPECT_NEAR(r.weight, inst.optimal_length, 1e-9) << inst.name;
   }

@@ -58,7 +58,7 @@ struct Overloaded {
 TEST(Checkpoint, SaveFindRestoreRoundTrip) {
   Fixture f;
   const ChannelIndex idx(f.ch);
-  const auto r = alg::dp_route_unlimited(f.ch, f.cs);
+  const auto r = alg::dp_route(idx, f.cs);
   ASSERT_TRUE(r.success);
 
   CheckpointStore store;
@@ -105,7 +105,7 @@ TEST(Checkpoint, RestoreRejectsACorruptCheckpoint) {
 TEST(Checkpoint, SaveKeepsTheLowerWeight) {
   Fixture f;
   const ChannelIndex idx(f.ch);
-  const auto r = alg::dp_route_unlimited(f.ch, f.cs);
+  const auto r = alg::dp_route(idx, f.cs);
   ASSERT_TRUE(r.success);
 
   CheckpointStore store;
@@ -127,7 +127,7 @@ TEST(Checkpoint, SaveKeepsTheLowerWeight) {
 
 TEST(Checkpoint, LruEvictsTheColdestFingerprint) {
   Fixture f;
-  const auto r = alg::dp_route_unlimited(f.ch, f.cs);
+  const auto r = alg::dp_route(ChannelIndex(f.ch), f.cs);
   ASSERT_TRUE(r.success);
   CheckpointStore store(2);
   store.save(100, r.routing);
@@ -143,7 +143,7 @@ TEST(Checkpoint, LruEvictsTheColdestFingerprint) {
 TEST(Checkpoint, RestoreOccupancyRebuildsPlacementExactly) {
   Fixture f;
   const ChannelIndex idx(f.ch);
-  const auto r = alg::dp_route_unlimited(f.ch, f.cs);
+  const auto r = alg::dp_route(idx, f.cs);
   ASSERT_TRUE(r.success);
   RoutingCheckpoint ckpt;
   ckpt.fingerprint = idx.fingerprint();
@@ -168,7 +168,7 @@ TEST(Checkpoint, RestoreOccupancyRebuildsPlacementExactly) {
 
 TEST(PartialRoute, CompleteWhenTheInstanceIsRoutable) {
   Fixture f;
-  const auto r = alg::partial_route(f.ch, f.cs);
+  const auto r = alg::partial_route(ChannelIndex(f.ch), f.cs);
   EXPECT_TRUE(r.success);
   EXPECT_FALSE(r.partial);
   EXPECT_TRUE(r.unrouted.empty());
@@ -178,7 +178,7 @@ TEST(PartialRoute, CompleteWhenTheInstanceIsRoutable) {
 
 TEST(PartialRoute, ReportsTheMaximalSubsetWithPerConnectionKinds) {
   Overloaded f;
-  const auto r = alg::partial_route(f.ch, f.cs);
+  const auto r = alg::partial_route(ChannelIndex(f.ch), f.cs);
   EXPECT_FALSE(r.success);
   EXPECT_TRUE(r.partial);
   EXPECT_EQ(r.failure, FailureKind::kInfeasible);
@@ -212,9 +212,10 @@ TEST(PartialRoute, ReportsTheMaximalSubsetWithPerConnectionKinds) {
 
 TEST(PartialRoute, BudgetTruncationIsDeterministicAndEnumerated) {
   Fixture f;
+  const ChannelIndex idx(f.ch);
   alg::PartialOptions o;
   o.budget = Budget::with_ticks(1);  // one connection considered, then stop
-  const auto r = alg::partial_route(f.ch, f.cs, o);
+  const auto r = alg::partial_route(idx, f.cs, o);
   EXPECT_FALSE(r.success);
   EXPECT_TRUE(r.partial);
   EXPECT_EQ(r.failure, FailureKind::kBudgetExhausted);
@@ -224,7 +225,7 @@ TEST(PartialRoute, BudgetTruncationIsDeterministicAndEnumerated) {
   EXPECT_EQ(r.unrouted[0].kind, FailureKind::kBudgetExhausted);
   EXPECT_EQ(r.unrouted[1].conn, 2);
 
-  const auto again = alg::partial_route(f.ch, f.cs, o);
+  const auto again = alg::partial_route(idx, f.cs, o);
   EXPECT_TRUE(again.routing == r.routing);
 }
 
