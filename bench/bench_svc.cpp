@@ -26,12 +26,18 @@
 // Latency is measured service-side (queue_ms + service_ms from the
 // response) so the numbers do not include client wake-up noise.
 //
+// The three sections run kRepeats = 5 times. Every timed figure is
+// reported, written to JSON and gated as its median over the repeats: a
+// single run on a shared host can land in a slow stretch, and a gate on
+// one sample then fails on noise rather than on the program.
+//
 // Checked invariants (fatal):
-//   - digests bit-identical across 1/2/8 threads (always);
+//   - digests bit-identical across 1/2/8 threads and across repeats
+//     (on every repeat);
 //   - open-model accounting exact: served + rejected == submitted
-//     (always);
-//   - under --check: closed/open throughput >= baseline/5, p99 <= 5x
-//     baseline, saturation >= baseline/5, tenant fairness >= 0.5.
+//     (on every repeat);
+//   - under --check, on the medians: closed/open throughput >=
+//     baseline/5, p99 <= 5x baseline, tenant fairness >= 0.5.
 //
 // Flags: --json PATH, --check PATH, --quick, --trace PATH,
 //        --metrics PATH.
@@ -268,6 +274,95 @@ OpenResult run_open(const std::vector<ConnectionSet>& pool, double rate,
   return res;
 }
 
+/// Repeats of the determinism, closed and open sections. Every figure is
+/// reported and gated as its median over the repeats, so one slow
+/// stretch of a shared host moves one repeat, not the gated figure.
+constexpr int kRepeats = 5;
+
+struct ClosedRow {
+  int clients;
+  ClosedResult r;
+};
+
+/// One pass of the three sections.
+struct Repeat {
+  std::uint64_t digest = 0;
+  bool identical = false;  // digest equal at 1/2/8 threads
+  std::vector<ClosedRow> closed;
+  double saturation = 0.0;
+  double fairness = 0.0;
+  OpenResult open;
+};
+
+double rejected_frac(const OpenResult& o) {
+  return o.submitted ? static_cast<double>(o.rejected) /
+                           static_cast<double>(o.submitted)
+                     : 0.0;
+}
+
+Repeat run_repeat(const std::vector<ConnectionSet>& pool, bool quick) {
+  Repeat rep;
+  rep.digest = run_digest_schedule(1);
+  rep.identical = rep.digest == run_digest_schedule(2) &&
+                  rep.digest == run_digest_schedule(8);
+
+  // Closed model at rising concurrency; the top one splits two tenants.
+  const int per_client = quick ? 300 : 1500;
+  const std::vector<int> concurrencies = {1, 4, 16};
+  for (const int c : concurrencies) {
+    const bool split = c == concurrencies.back();
+    const ClosedResult r = run_closed(pool, c, per_client, split);
+    rep.saturation = std::max(rep.saturation, r.rps);
+    if (split) {
+      const double lo = static_cast<double>(
+          std::min(r.served_alice, r.served_bob));
+      const double hi = static_cast<double>(
+          std::max<std::uint64_t>(std::max(r.served_alice, r.served_bob), 1));
+      rep.fairness = lo / hi;
+    }
+    rep.closed.push_back({c, r});
+  }
+
+  // Open model: 1.25x this repeat's saturation against a bounded queue.
+  const double rate = std::max(1000.0, 1.25 * rep.saturation);
+  rep.open = run_open(pool, rate, quick ? 4000 : 20000);
+  return rep;
+}
+
+/// The median over repeats of one figure (kRepeats is odd).
+template <class Get>
+double median_of(const std::vector<Repeat>& reps, Get get) {
+  std::vector<double> v;
+  v.reserve(reps.size());
+  for (const Repeat& r : reps) v.push_back(get(r));
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// A Repeat whose every timed figure is the median over `reps`.
+Repeat median_repeat(const std::vector<Repeat>& reps) {
+  Repeat m = reps.front();
+  for (std::size_t i = 0; i < m.closed.size(); ++i) {
+    ClosedResult& r = m.closed[i].r;
+    r.rps = median_of(reps, [i](const Repeat& x) { return x.closed[i].r.rps; });
+    r.lat.p50 =
+        median_of(reps, [i](const Repeat& x) { return x.closed[i].r.lat.p50; });
+    r.lat.p99 =
+        median_of(reps, [i](const Repeat& x) { return x.closed[i].r.lat.p99; });
+    r.lat.p999 = median_of(
+        reps, [i](const Repeat& x) { return x.closed[i].r.lat.p999; });
+  }
+  m.saturation = median_of(reps, [](const Repeat& x) { return x.saturation; });
+  m.fairness = median_of(reps, [](const Repeat& x) { return x.fairness; });
+  OpenResult& o = m.open;
+  o.rate_rps = median_of(reps, [](const Repeat& x) { return x.open.rate_rps; });
+  o.rps = median_of(reps, [](const Repeat& x) { return x.open.rps; });
+  o.lat.p50 = median_of(reps, [](const Repeat& x) { return x.open.lat.p50; });
+  o.lat.p99 = median_of(reps, [](const Repeat& x) { return x.open.lat.p99; });
+  o.lat.p999 = median_of(reps, [](const Repeat& x) { return x.open.lat.p999; });
+  return m;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -289,78 +384,72 @@ int main(int argc, char** argv) {
 
   int failures = 0;
 
-  // --- determinism: digest-identical across 1/2/8 threads ----------------
-  const std::uint64_t d1 = run_digest_schedule(1);
-  const std::uint64_t d2 = run_digest_schedule(2);
-  const std::uint64_t d8 = run_digest_schedule(8);
-  const bool identical = d1 == d2 && d2 == d8;
-  std::ostringstream dhex;
-  dhex << std::hex << d1;
-  std::cout << "driver-mode digest: 0x" << dhex.str() << " — "
-            << (identical ? "bit-identical across 1/2/8 threads\n"
-                          : "MISMATCH across thread counts\n");
-  if (!identical) ++failures;
-
-  // --- closed model ------------------------------------------------------
   const SegmentedChannel ch = make_channel();
   const std::vector<ConnectionSet> pool = make_pool(ch, 32, 42);
-  const int per_client = quick ? 300 : 1500;
-  const std::vector<int> concurrencies = {1, 4, 16};
-
-  struct ClosedRow {
-    int clients;
-    ClosedResult r;
-  };
-  std::vector<ClosedRow> closed;
-  double saturation = 0.0;
-  double fairness = 0.0;
-  io::Table ct({"clients", "req/s", "p50 ms", "p99 ms", "p999 ms"});
-  for (const int c : concurrencies) {
-    const bool split = c == concurrencies.back();
-    const ClosedResult r = run_closed(pool, c, per_client, split);
-    saturation = std::max(saturation, r.rps);
-    if (split) {
-      const double lo = static_cast<double>(
-          std::min(r.served_alice, r.served_bob));
-      const double hi = static_cast<double>(
-          std::max<std::uint64_t>(std::max(r.served_alice, r.served_bob), 1));
-      fairness = lo / hi;
+  std::vector<Repeat> reps;
+  bool identical = true;
+  for (int k = 0; k < kRepeats; ++k) {
+    reps.push_back(run_repeat(pool, quick));
+    const Repeat& r = reps.back();
+    std::ostringstream hex;
+    hex << std::hex << r.digest;
+    std::cout << "repeat " << k + 1 << "/" << kRepeats << ": digest 0x"
+              << hex.str() << ", saturation " << io::Table::num(r.saturation, 0)
+              << " req/s, fairness " << io::Table::num(r.fairness, 3)
+              << ", open p99 " << io::Table::num(r.open.lat.p99, 4) << " ms\n";
+    // The digest must hold on every repeat, not only on average.
+    if (!r.identical || r.digest != reps.front().digest) {
+      identical = false;
+      std::cout << "FAIL: driver-mode digest differs across thread counts "
+                   "or repeats\n";
+      ++failures;
     }
-    ct.add_row({std::to_string(c), io::Table::num(r.rps, 0),
-                io::Table::num(r.lat.p50, 4), io::Table::num(r.lat.p99, 4),
-                io::Table::num(r.lat.p999, 4)});
-    closed.push_back({c, r});
+    if (!r.open.accounted) {
+      std::cout << "FAIL: open-model accounting broken (served + rejected != "
+                   "submitted)\n";
+      ++failures;
+    }
+    if (!r.open.rejections_typed) {
+      std::cout << "FAIL: open-model rejection was not typed "
+                   "kQueueFull/kBudgetExhausted\n";
+      ++failures;
+    }
   }
-  std::cout << "\nclosed model (" << per_client << " requests/user)\n";
-  ct.print(std::cout);
-  std::cout << "saturation: " << io::Table::num(saturation, 0)
-            << " req/s; two-tenant fairness at c=" << concurrencies.back()
-            << ": " << io::Table::num(fairness, 3) << "\n";
+  const Repeat med = median_repeat(reps);
+  const double rejected = median_of(
+      reps, [](const Repeat& x) { return rejected_frac(x.open); });
+  std::ostringstream dhex;
+  dhex << std::hex << med.digest;
+  std::cout << "driver-mode digest: 0x" << dhex.str() << " — "
+            << (identical ? "bit-identical across 1/2/8 threads and every "
+                            "repeat\n"
+                          : "MISMATCH\n");
 
-  // --- open model: 1.25x saturation against a bounded queue --------------
-  const double rate = std::max(1000.0, 1.25 * saturation);
-  const int total_open = quick ? 4000 : 20000;
-  const OpenResult open = run_open(pool, rate, total_open);
-  std::cout << "\nopen model (offered " << io::Table::num(open.rate_rps, 0)
-            << " req/s, queue 512)\n";
+  io::Table ct({"clients", "req/s", "p50 ms", "p99 ms", "p999 ms"});
+  for (const ClosedRow& cr : med.closed) {
+    ct.add_row({std::to_string(cr.clients), io::Table::num(cr.r.rps, 0),
+                io::Table::num(cr.r.lat.p50, 4),
+                io::Table::num(cr.r.lat.p99, 4),
+                io::Table::num(cr.r.lat.p999, 4)});
+  }
+  std::cout << "\nclosed model (" << (quick ? 300 : 1500)
+            << " requests/user; medians of " << kRepeats << " repeats)\n";
+  ct.print(std::cout);
+  std::cout << "saturation: " << io::Table::num(med.saturation, 0)
+            << " req/s; two-tenant fairness at c="
+            << med.closed.back().clients << ": "
+            << io::Table::num(med.fairness, 3) << "\n";
+
+  const OpenResult& open = med.open;
+  std::cout << "\nopen model (offered 1.25x saturation, queue 512; medians "
+               "of " << kRepeats << " repeats)\n";
   io::Table ot({"offered/s", "served/s", "rejected", "p50 ms", "p99 ms",
                 "p999 ms"});
   ot.add_row({io::Table::num(open.rate_rps, 0), io::Table::num(open.rps, 0),
-              std::to_string(open.rejected) + "/" +
-                  std::to_string(open.submitted),
+              io::Table::num(rejected, 4),
               io::Table::num(open.lat.p50, 4), io::Table::num(open.lat.p99, 4),
               io::Table::num(open.lat.p999, 4)});
   ot.print(std::cout);
-  if (!open.accounted) {
-    std::cout << "FAIL: open-model accounting broken (served + rejected != "
-                 "submitted)\n";
-    ++failures;
-  }
-  if (!open.rejections_typed) {
-    std::cout << "FAIL: open-model rejection was not typed "
-                 "kQueueFull/kBudgetExhausted\n";
-    ++failures;
-  }
 
   // engine cache state of a fresh service over the same pool, for the
   // shared perf-JSON schema.
@@ -388,8 +477,7 @@ int main(int argc, char** argv) {
   // --- JSON emission -----------------------------------------------------
   std::ostringstream js;
   js << "{\n  \"bench\": \"svc\",\n  \"rows\": [\n";
-  for (std::size_t i = 0; i < closed.size(); ++i) {
-    const ClosedRow& cr = closed[i];
+  for (const ClosedRow& cr : med.closed) {
     js << "    {\"key\": \"svc/closed/c" << cr.clients
        << "\", \"rps\": " << fmt(cr.r.rps)
        << ", \"p50_ms\": " << fmt(cr.r.lat.p50)
@@ -402,16 +490,13 @@ int main(int argc, char** argv) {
      << ", \"p99_ms\": " << fmt(open.lat.p99)
      << ", \"p999_ms\": " << fmt(open.lat.p999)
      << ", \"rejected_frac\": "
-     << fmt(open.submitted
-                ? static_cast<double>(open.rejected) /
-                      static_cast<double>(open.submitted)
-                : 0.0)
+     << fmt(rejected)
      << "}\n  ],\n";
   js << "  \"hardware_threads\": " << util::hardware_threads() << ",\n";
   js << "  \"digest\": \"0x" << dhex.str() << "\",\n";
   js << "  \"identical\": " << (identical ? "true" : "false") << ",\n";
-  js << "  \"saturation_rps\": " << fmt(saturation) << ",\n";
-  js << "  \"fairness\": " << fmt(fairness) << ",\n";
+  js << "  \"saturation_rps\": " << fmt(med.saturation) << ",\n";
+  js << "  \"fairness\": " << fmt(med.fairness) << ",\n";
   js << "  "
      << bench::engine_cache_json(cache.hits, cache.misses, cache.evictions)
      << "\n}\n";
@@ -446,13 +531,14 @@ int main(int argc, char** argv) {
         ++failures;
       }
     };
-    for (const ClosedRow& cr : closed) {
+    for (const ClosedRow& cr : med.closed) {
       gate_row("svc/closed/c" + std::to_string(cr.clients), cr.r.rps,
                cr.r.lat.p99);
     }
     gate_row("svc/open", open.rps, open.lat.p99);
-    if (fairness < 0.5) {
-      std::cout << "  FAIL: two-tenant fairness " << fairness << " < 0.5\n";
+    if (med.fairness < 0.5) {
+      std::cout << "  FAIL: two-tenant fairness " << med.fairness
+                << " < 0.5\n";
       ++failures;
     }
     std::cout << (failures == 0 ? "baseline check passed\n"

@@ -2,15 +2,16 @@
 # One-shot verification: everything a change must survive before merge.
 #
 #   1. tier-1: default configure, full build, complete ctest run
-#      (unit + property tests, tsan_smoke sub-build, perf gates);
+#      (unit + property tests, tsan_smoke sub-build);
 #   2. an SEGROUTE_OBS=OFF configure + build + test run, proving the
 #      tree compiles and passes with all instrumentation compiled out;
 #   3. an SEGROUTE_SANITIZE=address (ASan + UBSan) configure + build +
 #      ctest run, catching memory errors such as a dangling borrowed
 #      channel behind a ChannelIndex;
-#   4. explicit re-runs of the tsan_smoke and perf_obs/perf_smoke/
-#      perf_engine gates from the tier-1 build, so a perf or race
-#      regression fails loudly even if step 1's summary scrolled by.
+#   4. the tier-1 build reconfigured with SEGROUTE_BENCH_JSON=ON, which
+#      registers the perf_* gates, then a serial run of those gates plus
+#      tsan_smoke and svc_smoke. The step fails if ctest lists fewer
+#      gates than it names, so a gate cannot silently drop out.
 #
 # Usage: scripts/verify.sh [build-dir]     (default: build)
 # Exits nonzero on the first failing step.
@@ -21,7 +22,8 @@ BUILD="${1:-build}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 
 echo "== [1/4] tier-1: configure + build + ctest ($BUILD) =="
-cmake -B "$BUILD" -S .
+# BENCH_JSON off: the perf gates run serially in step 4, not under -j.
+cmake -B "$BUILD" -S . -DSEGROUTE_BENCH_JSON=OFF
 cmake --build "$BUILD" -j "$JOBS"
 ctest --test-dir "$BUILD" --output-on-failure -j "$JOBS"
 
@@ -40,8 +42,19 @@ cmake --build "$BUILD-asan" -j "$JOBS"
 ctest --test-dir "$BUILD-asan" --output-on-failure -j "$JOBS" \
   -E '^(tsan_smoke|perf_.*)$'
 
-echo "== [4/4] sanitizer + perf gates (tier-1 build) =="
-ctest --test-dir "$BUILD" --output-on-failure \
-  -R '^(tsan_smoke|perf_smoke|perf_engine|perf_fabric|perf_obs|perf_svc|perf_incremental|svc_smoke)$'
+echo "== [4/4] sanitizer + perf gates (tier-1 build, SEGROUTE_BENCH_JSON=ON) =="
+GATES=(tsan_smoke perf_smoke perf_engine perf_fabric perf_obs perf_svc
+       perf_incremental svc_smoke)
+GATE_RE="^($(IFS='|'; echo "${GATES[*]}"))\$"
+cmake -B "$BUILD" -S . -DSEGROUTE_BENCH_JSON=ON
+cmake --build "$BUILD" -j "$JOBS"
+LISTED="$(ctest --test-dir "$BUILD" -N -R "$GATE_RE" |
+          sed -n 's/^Total Tests: //p')"
+if [ "${LISTED:-0}" -ne "${#GATES[@]}" ]; then
+  echo "verify.sh: step 4 names ${#GATES[@]} gates but ctest lists" \
+       "${LISTED:-0}; a gate is not registered" >&2
+  exit 1
+fi
+ctest --test-dir "$BUILD" --output-on-failure -R "$GATE_RE"
 
 echo "verify.sh: all gates passed"

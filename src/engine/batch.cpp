@@ -389,14 +389,7 @@ void BatchRouter::invalidate(std::uint64_t fingerprint) {
 
 CacheStats BatchRouter::cache_stats() const {
   CacheStats s;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    s.hits += shard->hits;
-    s.misses += shard->misses;
-    s.evictions += shard->evictions;
-    s.invalidations += shard->invalidations;
-    s.size += shard->entries.size();
-  }
+  for (std::size_t i = 0; i < shards_.size(); ++i) s.add_counts(shard_stats(i));
   s.capacity = opts_.use_cache ? opts_.cache_capacity : 0;
   return s;
 }
@@ -404,18 +397,23 @@ CacheStats BatchRouter::cache_stats() const {
 std::vector<CacheStats> BatchRouter::shard_stats() const {
   std::vector<CacheStats> out;
   out.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    CacheStats s;
-    s.hits = shard->hits;
-    s.misses = shard->misses;
-    s.evictions = shard->evictions;
-    s.invalidations = shard->invalidations;
-    s.size = shard->entries.size();
-    s.capacity = shard->capacity;
-    out.push_back(s);
+  for (std::size_t i = 0; i < shards_.size(); ++i) {
+    out.push_back(shard_stats(i));
   }
   return out;
+}
+
+CacheStats BatchRouter::shard_stats(std::size_t i) const {
+  const Shard& shard = *shards_[i];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  CacheStats s;
+  s.hits = shard.hits;
+  s.misses = shard.misses;
+  s.evictions = shard.evictions;
+  s.invalidations = shard.invalidations;
+  s.size = shard.entries.size();
+  s.capacity = shard.capacity;
+  return s;
 }
 
 void BatchRouter::clear_cache() {

@@ -153,6 +153,16 @@ struct CacheStats {
   std::uint64_t invalidations = 0;  // entries evicted by invalidate()
   std::size_t size = 0;
   std::size_t capacity = 0;
+
+  /// Adds `s`'s counters and size. Capacity is left alone: the total
+  /// capacity is the configured one, not the sum over shards.
+  void add_counts(const CacheStats& s) {
+    hits += s.hits;
+    misses += s.misses;
+    evictions += s.evictions;
+    invalidations += s.invalidations;
+    size += s.size;
+  }
 };
 
 struct BatchOptions {
@@ -268,10 +278,18 @@ class BatchRouter {
 
   [[nodiscard]] CacheStats cache_stats() const;
 
-  /// Per-shard snapshots, in shard order (the obs registry exposes these
-  /// as svc.cache.shard<i>.* gauges via the routing service). Their field
-  /// sums equal cache_stats() up to updates racing the walk.
+  /// Per-shard snapshots, in shard order. Their field sums equal
+  /// cache_stats() up to updates racing the walk.
   [[nodiscard]] std::vector<CacheStats> shard_stats() const;
+
+  /// Shard `i`'s snapshot (i < shard_count()), read under that shard's
+  /// lock without allocating — the routing service publishes these as
+  /// svc.cache.shard<i>.* gauges every tick.
+  [[nodiscard]] CacheStats shard_stats(std::size_t i) const;
+
+  /// The cache's shard count after the constructor's clamp (to [1, 64]
+  /// and to cache_capacity); fixed for the router's lifetime.
+  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
   void clear_cache();
 

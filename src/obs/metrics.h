@@ -167,7 +167,10 @@ class Registry {
   static Registry& instance();
 
   /// Finds or creates. The returned reference is valid for the life of
-  /// the process.
+  /// the process. These are registration calls, not update calls: each
+  /// takes the registry mutex and a name lookup, so resolve a metric
+  /// once and update it through the cached reference — never look it
+  /// up by name on every update.
   Counter& counter(std::string_view name);
   Gauge& gauge(std::string_view name);
   /// `bounds` must be ascending; ignored (the original bounds win) when

@@ -1,6 +1,7 @@
 #include "svc/service.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "obs/instrument.h"
@@ -38,6 +39,12 @@ double ms_since(Clock::time_point t0) {
 std::vector<double> latency_bounds() {
   return {0.01, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 25, 50, 100, 250, 1000};
 }
+
+/// The svc.sessions.* gauge suffixes, in the order publish_metrics()
+/// lists their values.
+constexpr const char* kSessionGauges[] = {
+    "open", "opened", "closed", "edits", "repairs", "dp_fallbacks",
+    "edit_failures"};
 
 SvcOptions normalized(SvcOptions o) {
   o.threads = util::resolve_threads(o.threads);
@@ -120,7 +127,7 @@ RoutingService::RoutingService(const SegmentedChannel& ch, SvcOptions opts)
       engine_(ch, opts_.engine),
       pool_(opts_.threads),
       queue_depth_g_(obs::Registry::instance().gauge("svc.queue.depth")),
-      cache_size_g_(obs::Registry::instance().gauge("svc.cache.size")),
+      cache_g_("svc.cache"),
       accepted_c_(obs::Registry::instance().counter("svc.accepted")),
       rejected_c_(obs::Registry::instance().counter("svc.rejected")),
       served_c_(obs::Registry::instance().counter("svc.served")),
@@ -128,7 +135,37 @@ RoutingService::RoutingService(const SegmentedChannel& ch, SvcOptions opts)
       queue_ms_h_(obs::Registry::instance().histogram("svc.queue_ms",
                                                       latency_bounds())),
       service_ms_h_(obs::Registry::instance().histogram("svc.service_ms",
-                                                        latency_bounds())) {}
+                                                        latency_bounds())) {
+  obs::Registry& reg = obs::Registry::instance();
+  static_assert(std::size(kSessionGauges) ==
+                std::tuple_size_v<decltype(session_g_)>);
+  for (std::size_t i = 0; i < session_g_.size(); ++i) {
+    session_g_[i] =
+        &reg.gauge(std::string("svc.sessions.") + kSessionGauges[i]);
+  }
+  shard_g_.reserve(engine_.shard_count());
+  for (std::size_t i = 0; i < engine_.shard_count(); ++i) {
+    shard_g_.emplace_back("svc.cache.shard" + std::to_string(i));
+  }
+  reg.gauge("svc.cache.capacity")
+      .set(static_cast<double>(engine_.cache_stats().capacity));
+}
+
+RoutingService::CacheGauges::CacheGauges(const std::string& prefix)
+    : size(&obs::Registry::instance().gauge(prefix + ".size")),
+      hits(&obs::Registry::instance().gauge(prefix + ".hits")),
+      misses(&obs::Registry::instance().gauge(prefix + ".misses")),
+      evictions(&obs::Registry::instance().gauge(prefix + ".evictions")),
+      invalidations(
+          &obs::Registry::instance().gauge(prefix + ".invalidations")) {}
+
+void RoutingService::CacheGauges::set(const engine::CacheStats& s) const {
+  size->set(static_cast<double>(s.size));
+  hits->set(static_cast<double>(s.hits));
+  misses->set(static_cast<double>(s.misses));
+  evictions->set(static_cast<double>(s.evictions));
+  invalidations->set(static_cast<double>(s.invalidations));
+}
 
 RoutingService::~RoutingService() { stop(StopMode::kDrain); }
 
@@ -492,39 +529,22 @@ void RoutingService::publish_metrics() {
     snap.sessions_open = sessions_.size();
   }
   queue_depth_g_.set(static_cast<double>(depth));
-  obs::Registry& reg = obs::Registry::instance();
-  reg.gauge("svc.sessions.open")
-      .set(static_cast<double>(snap.sessions_open));
-  reg.gauge("svc.sessions.opened")
-      .set(static_cast<double>(snap.sessions_opened));
-  reg.gauge("svc.sessions.closed")
-      .set(static_cast<double>(snap.sessions_closed));
-  reg.gauge("svc.sessions.edits")
-      .set(static_cast<double>(snap.session_edits));
-  reg.gauge("svc.sessions.repairs")
-      .set(static_cast<double>(snap.session_repairs));
-  reg.gauge("svc.sessions.dp_fallbacks")
-      .set(static_cast<double>(snap.session_dp_fallbacks));
-  reg.gauge("svc.sessions.edit_failures")
-      .set(static_cast<double>(snap.session_edit_failures));
-  const engine::CacheStats total = engine_.cache_stats();
-  cache_size_g_.set(static_cast<double>(total.size));
-  reg.gauge("svc.cache.capacity").set(static_cast<double>(total.capacity));
-  reg.gauge("svc.cache.hits").set(static_cast<double>(total.hits));
-  reg.gauge("svc.cache.misses").set(static_cast<double>(total.misses));
-  reg.gauge("svc.cache.evictions").set(static_cast<double>(total.evictions));
-  reg.gauge("svc.cache.invalidations")
-      .set(static_cast<double>(total.invalidations));
-  const std::vector<engine::CacheStats> shards = engine_.shard_stats();
-  for (std::size_t i = 0; i < shards.size(); ++i) {
-    const std::string p = "svc.cache.shard" + std::to_string(i);
-    reg.gauge(p + ".size").set(static_cast<double>(shards[i].size));
-    reg.gauge(p + ".hits").set(static_cast<double>(shards[i].hits));
-    reg.gauge(p + ".misses").set(static_cast<double>(shards[i].misses));
-    reg.gauge(p + ".evictions").set(static_cast<double>(shards[i].evictions));
-    reg.gauge(p + ".invalidations")
-        .set(static_cast<double>(shards[i].invalidations));
+  const std::uint64_t sessions[] = {
+      snap.sessions_open, snap.sessions_opened, snap.sessions_closed,
+      snap.session_edits, snap.session_repairs, snap.session_dp_fallbacks,
+      snap.session_edit_failures};
+  static_assert(std::size(sessions) == std::size(kSessionGauges));
+  for (std::size_t i = 0; i < session_g_.size(); ++i) {
+    session_g_[i]->set(static_cast<double>(sessions[i]));
   }
+  // One locked read per shard feeds both its own gauges and the totals.
+  engine::CacheStats total;
+  for (std::size_t i = 0; i < shard_g_.size(); ++i) {
+    const engine::CacheStats s = engine_.shard_stats(i);
+    shard_g_[i].set(s);
+    total.add_counts(s);
+  }
+  cache_g_.set(total);
 }
 
 }  // namespace segroute::svc

@@ -79,9 +79,14 @@
 // the obs registry each tick. These are product surface (the /metrics
 // endpoint in svc/http.h serves them), not instrumentation, so they are
 // published even in SEGROUTE_OBS=OFF builds; only the library-internal
-// macro-based instrumentation compiles out.
+// macro-based instrumentation compiles out. Every gauge handle, one set
+// per engine cache shard included, is resolved once at construction
+// (svc.cache.capacity never changes and is set there too), so a tick's
+// publication costs one locked read per shard plus relaxed stores — no
+// name building, no registry lookup, no allocation.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -338,6 +343,18 @@ class RoutingService {
   void finish_job(Job& job, SvcResponse resp);
   obs::Counter& tenant_counter(const std::string& tenant);
 
+  /// The five gauges of one engine::CacheStats (all but capacity),
+  /// resolved once under `prefix` ("svc.cache" or "svc.cache.shard<i>").
+  struct CacheGauges {
+    explicit CacheGauges(const std::string& prefix);
+    void set(const engine::CacheStats& s) const;
+    obs::Gauge* size;
+    obs::Gauge* hits;
+    obs::Gauge* misses;
+    obs::Gauge* evictions;
+    obs::Gauge* invalidations;
+  };
+
   SvcOptions opts_;
   engine::BatchRouter engine_;
   util::ThreadPool pool_;
@@ -373,7 +390,9 @@ class RoutingService {
   // Service metrics, resolved once (see the file comment on why these
   // use the registry directly rather than the instrumentation macros).
   obs::Gauge& queue_depth_g_;
-  obs::Gauge& cache_size_g_;
+  std::array<obs::Gauge*, 7> session_g_;  // svc.sessions.*
+  CacheGauges cache_g_;                   // svc.cache.* totals
+  std::vector<CacheGauges> shard_g_;      // one per engine cache shard
   obs::Counter& accepted_c_;
   obs::Counter& rejected_c_;
   obs::Counter& served_c_;

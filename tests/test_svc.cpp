@@ -11,11 +11,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <future>
 #include <map>
 #include <mutex>
 #include <random>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -813,6 +815,135 @@ TEST(SvcMetrics, ExpositionRoundTripsAgainstSnapshot) {
             static_cast<double>(cs.hits));
   EXPECT_EQ(parsed.value_or("segroute_svc_cache_misses", -1),
             static_cast<double>(cs.misses));
+}
+
+/// A gauge's value in a registry snapshot; NaN when it is not registered.
+double gauge_value(const obs::MetricsSnapshot& snap, const std::string& name) {
+  for (const auto& [n, v] : snap.gauges) {
+    if (n == name) return v;
+  }
+  return std::nan("");
+}
+
+std::size_t svc_gauge_count(const obs::MetricsSnapshot& snap) {
+  return static_cast<std::size_t>(std::count_if(
+      snap.gauges.begin(), snap.gauges.end(),
+      [](const auto& g) { return g.first.rfind("svc.", 0) == 0; }));
+}
+
+/// The published svc.cache.* gauges equal the engine's own reads: every
+/// shard's five gauges, the totals, and the capacity.
+void expect_cache_gauges_match(svc::RoutingService& svc) {
+  const obs::MetricsSnapshot snap = obs::Registry::instance().snapshot();
+  const auto expect = [&](const std::string& prefix,
+                          const engine::CacheStats& s) {
+    EXPECT_EQ(gauge_value(snap, prefix + ".size"), static_cast<double>(s.size))
+        << prefix;
+    EXPECT_EQ(gauge_value(snap, prefix + ".hits"), static_cast<double>(s.hits))
+        << prefix;
+    EXPECT_EQ(gauge_value(snap, prefix + ".misses"),
+              static_cast<double>(s.misses))
+        << prefix;
+    EXPECT_EQ(gauge_value(snap, prefix + ".evictions"),
+              static_cast<double>(s.evictions))
+        << prefix;
+    EXPECT_EQ(gauge_value(snap, prefix + ".invalidations"),
+              static_cast<double>(s.invalidations))
+        << prefix;
+  };
+  const std::vector<engine::CacheStats> shards = svc.engine().shard_stats();
+  for (std::size_t i = 0; i < shards.size(); ++i) {
+    expect("svc.cache.shard" + std::to_string(i), shards[i]);
+  }
+  const engine::CacheStats total = svc.engine().cache_stats();
+  expect("svc.cache", total);
+  EXPECT_EQ(gauge_value(snap, "svc.cache.capacity"),
+            static_cast<double>(total.capacity));
+}
+
+TEST(SvcMetrics, PublishIsRegistrationFree) {
+  // Every gauge the service publishes is resolved in its constructor, so
+  // no tick — warm, cold, or right after an invalidate() — registers a
+  // new one, and each tick's values still match the engine exactly.
+  const SegmentedChannel ch = test_channel();
+  svc::SvcOptions o;
+  o.threads = 2;
+  o.drain_window = 4;
+  o.engine.cache_capacity = 4;  // 4 one-entry shards: alice's 6 evict
+  o.tenant_slice_ticks["bob"] = 2000;
+  svc::RoutingService svc(ch, o);
+  const std::size_t registered =
+      svc_gauge_count(obs::Registry::instance().snapshot());
+  EXPECT_GT(registered, 0u);
+
+  const Workload w = make_workload(ch, 31);
+  const std::uint64_t fp = svc.engine().index().fingerprint();
+  std::mt19937_64 rng(5);
+  std::vector<std::future<svc::SvcResponse>> futs;
+  for (int t = 0; t < 60; ++t) {
+    for (int i = 0; i < 3; ++i) {
+      svc::SvcRequest rq;
+      const bool bob = rng() % 4 == 0;
+      rq.tenant = bob ? "bob" : "alice";
+      rq.connections = bob ? w.bob[rng() % w.bob.size()]
+                           : w.alice[rng() % w.alice.size()];
+      futs.push_back(svc.submit(std::move(rq)));
+    }
+    if (t % 10 == 9) svc.invalidate(fp);
+    svc.tick();
+    EXPECT_EQ(svc_gauge_count(obs::Registry::instance().snapshot()),
+              registered)
+        << "tick " << t;
+    expect_cache_gauges_match(svc);
+  }
+  svc.stop(svc::RoutingService::StopMode::kDrain);
+  for (auto& f : futs) (void)f.get();
+  EXPECT_EQ(svc_gauge_count(obs::Registry::instance().snapshot()), registered);
+  expect_cache_gauges_match(svc);
+  EXPECT_GT(svc.engine().cache_stats().invalidations, 0u);
+  EXPECT_GT(svc.engine().cache_stats().evictions, 0u);
+}
+
+TEST(SvcMetrics, PublishesTheClampedShardLayout) {
+  // 16 requested shards over a 3-entry cache clamp to 3 shards; the
+  // service publishes exactly those. Shard gauges a wider service may
+  // have registered earlier in this process must not be written.
+  const auto shard_index = [](const std::string& name) -> int {
+    const std::string p = "svc.cache.shard";
+    if (name.rfind(p, 0) != 0) return -1;
+    return std::stoi(name.substr(p.size()));
+  };
+  obs::Registry& reg = obs::Registry::instance();
+  for (const auto& [name, v] : reg.snapshot().gauges) {
+    if (shard_index(name) >= 3) reg.gauge(name).set(-1.0);
+  }
+
+  const SegmentedChannel ch = test_channel();
+  svc::SvcOptions o;
+  o.engine.cache_shards = 16;
+  o.engine.cache_capacity = 3;
+  svc::RoutingService svc(ch, o);
+  EXPECT_EQ(svc.engine().shard_count(), 3u);
+
+  const Workload w = make_workload(ch, 41);
+  std::vector<std::future<svc::SvcResponse>> futs;
+  for (int i = 0; i < 12; ++i) {
+    svc::SvcRequest rq;
+    rq.tenant = "alice";
+    rq.connections = w.alice[static_cast<std::size_t>(i) % w.alice.size()];
+    futs.push_back(svc.submit(std::move(rq)));
+    svc.tick();
+  }
+  svc.stop(svc::RoutingService::StopMode::kDrain);
+  for (auto& f : futs) EXPECT_TRUE(f.get().result.success);
+
+  expect_cache_gauges_match(svc);
+  for (const auto& [name, v] : reg.snapshot().gauges) {
+    if (shard_index(name) >= 3) {
+      EXPECT_EQ(v, -1.0) << name;
+    }
+  }
+  EXPECT_EQ(gauge_value(reg.snapshot(), "svc.cache.capacity"), 3.0);
 }
 
 TEST(SvcMetrics, ParserRejectsMalformedText) {
